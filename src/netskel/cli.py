@@ -177,12 +177,11 @@ def _cmd_estimate(args, stdin, stdout) -> int:
     g = _read_graph(args.input, stdin)
     constants = _parse_constants(args.constants)
     simp = contraction.tree_contract(g, contraction.order_links_degree(g))
-    if simp.skeleton.node_count <= 1:
-        h_skeleton = 0.0
-    else:
-        h_skeleton = searchinfo.total_search_information(simp.skeleton).total_bits
     est = estimator.skeleton_estimate(
-        h_skeleton, simp.skeleton.node_count, g.node_count, constants
+        contraction.skeleton_bits(simp.skeleton),
+        simp.skeleton.node_count,
+        g.node_count,
+        constants,
     )
     _emit_json(
         {

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import NetskelError
 from .graph import Graph, Link, require_connected
-from .searchinfo import total_search_information
+from .searchinfo import _tree_total_bits, total_search_information
 from .seeding import derive_seed
 
 
@@ -31,7 +30,6 @@ class SimplifiedNetwork:
     skeleton: Graph
     supernodes: tuple[SuperNode, ...]
     membership: tuple[int, ...]
-    ordering_seed: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,16 @@ def order_links_degree(g: Graph) -> list[Link]:
 def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
     """One pass over links in the given order, merging wherever no multilink
     would result. Rejected links stay rejected (merging can only add common
-    neighbors), so a single pass is exhaustive."""
+    neighbors), so a single pass is exhaustive.
+
+    Merges are small-to-large: the root with more skeleton neighbors
+    survives and only the other root's neighbors are relabelled, so a hub
+    absorbs its leaves in O(1) each."""
     require_connected(g)
     if sorted(order) != list(g.links):
         raise NetskelError("order must be a permutation of the graph's links")
 
     parent = list(range(g.node_count))
-    size = [1] * g.node_count
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -94,49 +95,38 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
             x = parent[x]
         return x
 
-    neigh: dict[int, set[int]] = {
-        u: set(g.adjacency[u]) for u in range(g.node_count)
-    }
-    internal: dict[int, list[Link]] = {u: [] for u in range(g.node_count)}
-
+    neigh = [set(adj) for adj in g.adjacency]
+    accepted: list[Link] = []
     for u, v in order:
         ru, rv = find(u), find(v)
         if ru == rv:
             continue
-        nu, nv = neigh[ru], neigh[rv]
-        small, large = (nu, nv) if len(nu) <= len(nv) else (nv, nu)
-        if any(w in large for w in small if w != ru and w != rv):
-            continue  # merge would create a multilink
-        if size[ru] < size[rv]:
+        if len(neigh[ru]) < len(neigh[rv]):
             ru, rv = rv, ru
-            nu, nv = nv, nu
+        large, small = neigh[ru], neigh[rv]
+        if any(w in large for w in small if w != ru):
+            continue  # merge would create a multilink
         parent[rv] = ru
-        size[ru] += size[rv]
-        merged = (nu | nv) - {ru, rv}
-        for w in merged:
-            neigh[w].discard(ru)
-            neigh[w].discard(rv)
-            neigh[w].add(ru)
-        neigh[ru] = merged
-        del neigh[rv]
-        internal[ru] = internal[ru] + internal[rv] + [(u, v)]
-        del internal[rv]
+        large.discard(rv)
+        for w in small:
+            if w != ru:
+                neigh[w].discard(rv)
+                neigh[w].add(ru)
+                large.add(w)
+        accepted.append((u, v))
 
-    min_member: dict[int, int] = {}
-    for node in range(g.node_count):
-        r = find(node)
-        if r not in min_member:
-            min_member[r] = node
-    roots = sorted(neigh, key=lambda r: min_member[r])
-    root_index = {r: i for i, r in enumerate(roots)}
-    membership = tuple(root_index[find(u)] for u in range(g.node_count))
-
-    members: list[list[int]] = [[] for _ in roots]
+    # super-nodes are numbered by their minimum member
+    index: dict[int, int] = {}
+    membership = tuple(index.setdefault(find(u), len(index)) for u in range(g.node_count))
+    members: list[list[int]] = [[] for _ in index]
     for node, grp in enumerate(membership):
         members[grp].append(node)
+    internal: list[list[Link]] = [[] for _ in index]
+    for link in sorted(accepted):
+        internal[membership[link[0]]].append(link)
     supernodes = tuple(
-        SuperNode(members=tuple(members[i]), internal_links=tuple(sorted(internal[r])))
-        for i, r in enumerate(roots)
+        SuperNode(members=tuple(m), internal_links=tuple(links))
+        for m, links in zip(members, internal)
     )
 
     skeleton_links: set[Link] = set()
@@ -145,9 +135,7 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
         if a != b:
             skeleton_links.add((a, b) if a < b else (b, a))
     skeleton = Graph.from_links(
-        len(roots),
-        sorted(skeleton_links),
-        tuple(f"s{i}" for i in range(len(roots))),
+        len(index), sorted(skeleton_links), tuple(f"s{i}" for i in range(len(index)))
     )
     return SimplifiedNetwork(
         original=g,
@@ -166,18 +154,23 @@ def supernode_tree(g: Graph, sn: SuperNode) -> Graph:
     )
 
 
+def skeleton_bits(skeleton: Graph) -> float:
+    """Total search information of a skeleton; one super-node has no paths."""
+    if skeleton.node_count <= 1:
+        return 0.0
+    return total_search_information(skeleton).total_bits
+
+
 def simplified_search_information(s: SimplifiedNetwork) -> SimplifiedSearchInfo:
-    """H_simp = H of the skeleton plus H of each super-node tree in isolation."""
-    if s.skeleton.node_count <= 1:
-        h_skeleton = 0.0
-    else:
-        h_skeleton = total_search_information(s.skeleton).total_bits
-    h_super: list[float] = []
-    for sn in s.supernodes:
-        if len(sn.members) <= 1:
-            h_super.append(0.0)
-        else:
-            h_super.append(total_search_information(supernode_tree(s.original, sn)).total_bits)
+    """H_simp = H of the skeleton plus H of each super-node tree in isolation.
+
+    Every super-node is a tree, so its H comes from the exact O(N) tree
+    total; a tree of one or two nodes has no choices and needs no graph."""
+    h_skeleton = skeleton_bits(s.skeleton)
+    h_super = [
+        _tree_total_bits(supernode_tree(s.original, sn)) if len(sn.members) > 2 else 0.0
+        for sn in s.supernodes
+    ]
     h_super_total = sum(h_super)
     return SimplifiedSearchInfo(
         h_skeleton=h_skeleton,

@@ -2,7 +2,9 @@
 
 Deliberately shares nothing with the DAG dynamic program it checks:
 its own BFS, then a DFS over all shortest paths summing per-path
-walker probabilities.
+walker probabilities. ``reference_tree_contract`` is the original
+copy-on-merge contraction, kept as the slow reference for the
+small-to-large one in the library.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from netskel.graph import Graph
+from netskel.graph import Graph, Link
 
 
 def brute_force_pair_bits(g: Graph, s: int, d: int) -> float:
@@ -51,3 +53,63 @@ def brute_force_total_bits(g: Graph) -> float:
         for d in range(g.node_count)
         if s != d
     )
+
+
+def reference_tree_contract(
+    g: Graph, order: list[Link]
+) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[Link, ...]]], list[Link]]:
+    """Contraction that copies the merged neighbor set and the internal link
+    lists on every merge (quadratic on hubs). Returns membership, each
+    super-node's (members, sorted internal links) and the skeleton links."""
+    parent = list(range(g.node_count))
+    size = [1] * g.node_count
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    neigh = {u: set(g.adjacency[u]) for u in range(g.node_count)}
+    internal: dict[int, list[Link]] = {u: [] for u in range(g.node_count)}
+    for u, v in order:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        nu, nv = neigh[ru], neigh[rv]
+        small, large = (nu, nv) if len(nu) <= len(nv) else (nv, nu)
+        if any(w in large for w in small if w != ru and w != rv):
+            continue
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+            nu, nv = nv, nu
+        parent[rv] = ru
+        size[ru] += size[rv]
+        merged = (nu | nv) - {ru, rv}
+        for w in merged:
+            neigh[w].discard(ru)
+            neigh[w].discard(rv)
+            neigh[w].add(ru)
+        neigh[ru] = merged
+        del neigh[rv]
+        internal[ru] = internal[ru] + internal[rv] + [(u, v)]
+        del internal[rv]
+
+    min_member: dict[int, int] = {}
+    for node in range(g.node_count):
+        min_member.setdefault(find(node), node)
+    roots = sorted(neigh, key=lambda r: min_member[r])
+    root_index = {r: i for i, r in enumerate(roots)}
+    membership = tuple(root_index[find(u)] for u in range(g.node_count))
+    members: list[list[int]] = [[] for _ in roots]
+    for node, grp in enumerate(membership):
+        members[grp].append(node)
+    supernodes = [
+        (tuple(members[i]), tuple(sorted(internal[r]))) for i, r in enumerate(roots)
+    ]
+    skeleton = {
+        (min(membership[u], membership[v]), max(membership[u], membership[v]))
+        for u, v in g.links
+        if membership[u] != membership[v]
+    }
+    return membership, supernodes, sorted(skeleton)

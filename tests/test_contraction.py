@@ -1,11 +1,29 @@
+import gc
 import itertools
 import random
+import time
 
 import pytest
 
 import netskel as ns
 from netskel.errors import ConnectivityError, NetskelError
-from conftest import random_connected_graph
+from conftest import random_connected_graph, tree_with_chords
+from oracle import reference_tree_contract
+
+
+def star(n):
+    return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])
+
+
+def contraction_corpus(karate):
+    """Karate, small ER graphs, trees with chords, stars and chains."""
+    rng = random.Random(11)
+    graphs = [karate]
+    for _ in range(8):
+        graphs.append(random_connected_graph(rng.randint(5, 40), 0.2, rng.randrange(1 << 30)))
+        n, chords = rng.randint(10, 200), rng.randint(0, 30)
+        graphs.append(tree_with_chords(n, chords, rng.randrange(1 << 30)))
+    return graphs + [star(n) for n in (2, 3, 50, 300)] + [ns.gen_chain(n) for n in (2, 3, 40)]
 
 
 def check_simplified_invariants(g, simp):
@@ -102,6 +120,16 @@ class TestTreeContract:
                 simp = ns.tree_contract(g, ns.order_links_random(g, trial))
                 check_simplified_invariants(g, simp)
 
+    def test_matches_reference(self, karate):
+        for g in contraction_corpus(karate):
+            orders = [ns.order_links_random(g, t) for t in range(4)]
+            for order in orders + [ns.order_links_degree(g)]:
+                simp = ns.tree_contract(g, order)
+                membership, supernodes, skeleton_links = reference_tree_contract(g, order)
+                assert simp.membership == membership
+                assert [(s.members, s.internal_links) for s in simp.supernodes] == supernodes
+                assert list(simp.skeleton.links) == skeleton_links
+
     def test_recontraction_is_idempotent(self, karate):
         simp = ns.tree_contract(karate, ns.order_links_random(karate, 2))
         sk = simp.skeleton
@@ -140,6 +168,20 @@ class TestSimplifiedSearchInfo:
         assert info.h_simp == pytest.approx(
             ns.total_search_information(g).total_bits
         )
+
+    def test_supernodes_match_dag_dp(self, karate):
+        rng = random.Random(3)
+        graphs = [karate]
+        for _ in range(10):
+            n, chords = rng.randint(10, 150), rng.randint(0, 20)
+            graphs.append(tree_with_chords(n, chords, rng.randrange(1 << 30)))
+        for g in graphs:
+            for trial in range(3):
+                simp = ns.tree_contract(g, ns.order_links_random(g, trial))
+                info = ns.simplified_search_information(simp)
+                for sn, bits in zip(simp.supernodes, info.h_supernodes):
+                    dp = ns.total_search_information(ns.supernode_tree(g, sn)).total_bits
+                    assert bits == pytest.approx(dp, rel=0, abs=1e-9)
 
     def test_h_simp_is_sum(self, karate):
         simp = ns.tree_contract(karate, ns.order_links_degree(karate))
@@ -180,3 +222,32 @@ class TestMinimize:
     def test_rejects_zero_trials(self):
         with pytest.raises(NetskelError):
             ns.minimize_h_simp(ns.gen_ring(5), 0, 1)
+
+
+class TestScaling:
+    def test_star_contraction_is_near_linear(self):
+        """Doubling the star must not double the cost twice over; a ratio of
+        the kernel with itself does not depend on the machine's speed. A
+        shared machine changes speed over tenths of a second, so the two
+        sizes are timed in turn and each keeps its minimum over ten repeats
+        (with three, one size alone could land in a fast spell). The cyclic
+        garbage collector is off while timing: a full collection costs in
+        proportion to every object the test process holds, not to the
+        kernel's own work."""
+        cases = {}
+        for n in (4000, 8000):
+            g = star(n)
+            cases[n] = (g, ns.order_links_random(g, 1))
+        best = dict.fromkeys(cases, float("inf"))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                for n, (g, order) in cases.items():
+                    t0 = time.perf_counter()
+                    ns.simplified_search_information(ns.tree_contract(g, order))
+                    best[n] = min(best[n], time.perf_counter() - t0)
+        finally:
+            gc.enable()
+        ratio = best[8000] / best[4000]
+        assert ratio < 2.5, f"time(8000)/time(4000) = {ratio:.2f}"
