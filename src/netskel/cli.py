@@ -14,7 +14,7 @@ from dataclasses import fields
 from typing import IO, Optional, Sequence
 
 from . import contraction, estimator, generators, graph, searchinfo
-from .errors import NetskelError
+from .errors import NetskelError, ParseError
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -50,10 +50,16 @@ def _emit_csv(header: str, rows, out: IO[str]) -> None:
 
 
 def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
-    if path == "-":
-        return graph.load_edge_list(stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph.load_edge_list(fh.read())
+    try:
+        if path == "-":
+            text = stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ParseError(f"{name} is not UTF-8 text (byte {exc.start})") from None
+    return graph.load_edge_list(text)
 
 
 def _parse_constants(pairs: Optional[Sequence[str]]) -> estimator.ScalingConstants:
@@ -65,7 +71,10 @@ def _parse_constants(pairs: Optional[Sequence[str]]) -> estimator.ScalingConstan
         key, sep, value = pair.partition("=")
         if not sep or key not in valid:
             raise NetskelError(f"unknown constant override {pair!r}")
-        overrides[key] = float(value)
+        try:
+            overrides[key] = float(value)
+        except ValueError:
+            raise NetskelError(f"constant {key} needs a number, got {value!r}") from None
     return estimator.ScalingConstants(**overrides)
 
 

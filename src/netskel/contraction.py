@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NetskelError
-from .graph import Graph, Link, require_connected
+from .graph import Graph, Link, quotient_graph, require_connected
 from .searchinfo import _tree_total_bits, total_search_information
 from .seeding import derive_seed
 
@@ -86,7 +86,11 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
     require_connected(g)
     if sorted(order) != list(g.links):
         raise NetskelError("order must be a permutation of the graph's links")
+    return _contract(g, order)
 
+
+def _contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
+    """tree_contract on a connected graph and a permutation of its links."""
     parent = list(range(g.node_count))
 
     def find(x: int) -> int:
@@ -129,17 +133,9 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
         for m, links in zip(members, internal)
     )
 
-    skeleton_links: set[Link] = set()
-    for u, v in g.links:
-        a, b = membership[u], membership[v]
-        if a != b:
-            skeleton_links.add((a, b) if a < b else (b, a))
-    skeleton = Graph.from_links(
-        len(index), sorted(skeleton_links), tuple(f"s{i}" for i in range(len(index)))
-    )
     return SimplifiedNetwork(
         original=g,
-        skeleton=skeleton,
+        skeleton=quotient_graph(g, membership),
         supernodes=supernodes,
         membership=membership,
     )
@@ -149,9 +145,7 @@ def supernode_tree(g: Graph, sn: SuperNode) -> Graph:
     """The internal tree of a super-node as a standalone graph."""
     local = {node: i for i, node in enumerate(sn.members)}
     links = [(local[u], local[v]) for u, v in sn.internal_links]
-    return Graph.from_links(
-        len(sn.members), links, tuple(g.labels[m] for m in sn.members)
-    )
+    return Graph._trusted(len(sn.members), links, tuple(g.labels[m] for m in sn.members))
 
 
 def skeleton_bits(skeleton: Graph) -> float:
@@ -196,7 +190,7 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     samples: list[ContractionSample] = []
     for trial in range(trials):
         order = order_links_random(g, derive_seed(seed, trial))
-        simp = tree_contract(g, order)
+        simp = _contract(g, order)
         info = simplified_search_information(simp)
         samples.append(
             ContractionSample(

@@ -6,11 +6,11 @@ class NetskelError(ValueError):
 
 
 class ParseError(NetskelError):
-    """Malformed input text (edge lists, partition files)."""
+    """Malformed input text (edge lists, input that is not UTF-8)."""
 
 
 class ValidationError(NetskelError):
-    """Structurally invalid data (self-loops, multilinks, bad partitions)."""
+    """Structurally invalid data (self-loops, multilinks, empty graphs, bad group indices)."""
 
 
 class ConnectivityError(NetskelError):

@@ -34,6 +34,9 @@ class ScalingConstants:
     tree_exponent: float = 2.550
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise NetskelError(f"{name} must be finite, got {value}")
         for name in ("skeleton_amplitude", "inverse_amplitude", "tree_amplitude"):
             if getattr(self, name) <= 0:
                 raise NetskelError(f"{name} must be positive")

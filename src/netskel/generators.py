@@ -26,13 +26,13 @@ class TreeScalingRow:
 def gen_ring(n: int) -> Graph:
     if n < 3:
         raise NetskelError(f"ring needs at least 3 nodes, got {n}")
-    return Graph.from_links(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph._trusted(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gen_chain(n: int) -> Graph:
     if n < 1:
         raise NetskelError(f"chain needs at least 1 node, got {n}")
-    return Graph.from_links(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._trusted(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:
@@ -40,9 +40,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     if n < 1:
         raise NetskelError(f"tree needs at least 1 node, got {n}")
     if n == 1:
-        return Graph.from_links(1, [])
-    if n == 2:
-        return Graph.from_links(2, [(0, 1)])
+        return Graph._trusted(1, [])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -60,7 +58,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     links.append((u, v))
-    return Graph.from_links(n, links)
+    return Graph._trusted(n, links)
 
 
 def rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) -> Graph:
@@ -113,7 +111,7 @@ def rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) -> Graph:
             adj[b].remove(d), adj[d].remove(b)
             adj[a].add(b), adj[b].add(a)
             adj[c].add(d), adj[d].add(c)
-    return Graph.from_links(g.node_count, edges, g.labels)
+    return Graph._trusted(g.node_count, edges, g.labels)
 
 
 def tree_scaling_experiment(

@@ -37,16 +37,13 @@ class Graph:
         links: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
     ) -> "Graph":
+        """Build a graph from outside input, refusing unknown nodes, self-loops,
+        duplicate links in either orientation and a wrong label count."""
         if node_count < 0:
             raise ValidationError("node_count must be non-negative")
-        if labels is None:
-            labels = tuple(str(i) for i in range(node_count))
-        else:
-            labels = tuple(labels)
-            if len(labels) != node_count:
-                raise ValidationError(
-                    f"got {len(labels)} labels for {node_count} nodes"
-                )
+        labels = tuple(str(i) for i in range(node_count)) if labels is None else tuple(labels)
+        if len(labels) != node_count:
+            raise ValidationError(f"got {len(labels)} labels for {node_count} nodes")
         normalized: list[Link] = []
         seen: set[Link] = set()
         for u, v in links:
@@ -61,53 +58,33 @@ class Graph:
                 )
             seen.add(link)
             normalized.append(link)
-        normalized.sort()
+        return cls._trusted(node_count, normalized, labels)
+
+    @classmethod
+    def _trusted(
+        cls,
+        node_count: int,
+        links: Iterable[tuple[int, int]],
+        labels: Optional[Sequence[str]] = None,
+    ) -> "Graph":
+        """Build from links that are valid by construction: in range, no
+        self-loop, no duplicate. Only normalizes, sorts and indexes them."""
+        normalized = sorted(_normalize_link(u, v) for u, v in links)
         neighbors: list[list[int]] = [[] for _ in range(node_count)]
-        for u, v in normalized:
+        for u, v in normalized:  # sorted links give sorted neighbor lists
             neighbors[u].append(v)
             neighbors[v].append(u)
-        adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-        degrees = tuple(len(ns) for ns in adjacency)
         return cls(
             node_count=node_count,
             links=tuple(normalized),
-            labels=labels,
-            adjacency=adjacency,
-            degrees=degrees,
+            labels=tuple(str(i) for i in range(node_count)) if labels is None else tuple(labels),
+            adjacency=tuple(map(tuple, neighbors)),
+            degrees=tuple(map(len, neighbors)),
         )
 
     @property
     def link_count(self) -> int:
         return len(self.links)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown node label {label!r}") from None
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of every node to one of ``group_count`` dense, non-empty groups."""
-
-    assignment: tuple[int, ...]
-    group_count: int
-
-    def __post_init__(self) -> None:
-        if self.group_count <= 0:
-            raise ValidationError("group_count must be positive")
-        used = set(self.assignment)
-        if used != set(range(self.group_count)):
-            raise ValidationError(
-                "group indices must be dense 0..group_count-1 with no empty group"
-            )
-
-    def groups(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.group_count)]
-        for node, grp in enumerate(self.assignment):
-            out[grp].append(node)
-        return out
 
 
 def load_edge_list(text: str | Iterable[str]) -> Graph:
@@ -150,42 +127,12 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
             )
         seen.add(link)
         links.append(link)
-    return Graph.from_links(len(labels), links, labels)
+    return Graph._trusted(len(labels), links, labels)
 
 
 def write_edge_list(g: Graph) -> str:
     """Inverse of load_edge_list; preserves the link set and labels."""
     return "".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in g.links)
-
-
-def load_partition(text: str | Iterable[str], g: Graph) -> Partition:
-    """Parse "LABEL GROUP" lines into a Partition over g's nodes.
-
-    Group tokens are remapped to dense indices in first-appearance order.
-    """
-    if isinstance(text, str):
-        lines: Iterable[str] = text.splitlines()
-    else:
-        lines = text
-    assignment: list[Optional[int]] = [None] * g.node_count
-    group_index: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"line {lineno}: expected 2 tokens, got {len(tokens)}: {line!r}"
-            )
-        node = g.index_of(tokens[0])
-        if tokens[1] not in group_index:
-            group_index[tokens[1]] = len(group_index)
-        assignment[node] = group_index[tokens[1]]
-    missing = [g.labels[i] for i, a in enumerate(assignment) if a is None]
-    if missing:
-        raise ValidationError(f"partition does not cover nodes: {missing[:5]}")
-    return Partition(tuple(assignment), len(group_index))  # type: ignore[arg-type]
 
 
 def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -213,7 +160,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def require_connected(g: Graph) -> None:
-    """Raise ConnectivityError naming two nodes in different components."""
+    """Refuse a graph with no nodes, and raise ConnectivityError naming two
+    nodes in different components."""
+    if g.node_count == 0:
+        raise ValidationError("graph has no nodes")
     count, labels = connected_components(g)
     if count > 1:
         a = labels.index(0)
@@ -229,21 +179,22 @@ def cyclomatic_number(g: Graph) -> int:
     return g.link_count - g.node_count + count
 
 
-def quotient_graph(g: Graph, p: Partition) -> Graph:
-    """Simple graph over partition groups; cross-group links deduplicated,
-    intra-group links dropped."""
-    if len(p.assignment) != g.node_count:
+def quotient_graph(g: Graph, membership: Sequence[int]) -> Graph:
+    """Simple graph over the groups 0..max(membership), labelled s0, s1, ...:
+    cross-group links deduplicated, intra-group links dropped."""
+    if len(membership) != g.node_count:
         raise ValidationError(
-            f"partition covers {len(p.assignment)} nodes, graph has {g.node_count}"
+            f"membership covers {len(membership)} nodes, graph has {g.node_count}"
         )
+    if min(membership, default=0) < 0:
+        raise ValidationError("group indices must be non-negative")
+    group_count = max(membership, default=-1) + 1
     cross: set[Link] = set()
     for u, v in g.links:
-        a, b = p.assignment[u], p.assignment[v]
+        a, b = membership[u], membership[v]
         if a != b:
             cross.add(_normalize_link(a, b))
-    return Graph.from_links(
-        p.group_count, sorted(cross), tuple(f"g{i}" for i in range(p.group_count))
-    )
+    return Graph._trusted(group_count, cross, tuple(f"s{i}" for i in range(group_count)))
 
 
 def to_dot(g: Graph, node_weights: Optional[Sequence[int]] = None) -> str:

@@ -159,8 +159,6 @@ def pair_search_information(g: Graph, s: int, d: int) -> float:
 
 def total_search_information(g: Graph, with_pairs: bool = False) -> SearchInfoReport:
     """Sum of H(s->d) over all ordered pairs of a connected graph."""
-    if g.node_count == 0:
-        raise NetskelError("graph has no nodes")
     require_connected(g)
     per_source: list[float] = []
     pair_rows: list[tuple[float, ...]] = []

@@ -135,6 +135,15 @@ class TestPipelines:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_estimate_non_numeric_constant(self, karate_path, value):
+        code, out, err = invoke(
+            ["estimate", karate_path, "--constants", f"inverse_exponent={value}"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "inverse_exponent" in err
+        assert len(err.splitlines()) == 1
+
     def test_randomize_round_trip(self, karate, karate_path):
         code, out, _ = invoke(["randomize", karate_path, "--seed", "3"])
         assert code == 0
@@ -177,6 +186,25 @@ class TestDeterminismAndErrors:
         code, _, err = invoke(["info", "/no/such/file.edges"])
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["contract", "minimize", "estimate", "search-info"])
+    def test_empty_input_exit_1(self, command):
+        code, out, err = invoke([command, "-"], "")
+        assert (code, out, err) == (1, "", "error: graph has no nodes\n")
+
+    @pytest.mark.parametrize("command", ["info", "contract", "estimate"])
+    def test_non_utf8_file_exit_1(self, command, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"a b\n\xff\xfe c\n")
+        code, out, err = invoke([command, str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is not UTF-8 text (byte 4)\n"
+
+    def test_non_utf8_stdin_exit_1(self):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe a\n"), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        assert run(["info", "-"], stdin=stdin, stdout=stdout, stderr=stderr) == 1
+        assert stderr.getvalue() == "error: stdin is not UTF-8 text (byte 0)\n"
 
     def test_parse_error_exit_1(self):
         code, _, err = invoke(["info", "-"], "a b c\n")

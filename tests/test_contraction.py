@@ -42,7 +42,10 @@ def check_simplified_invariants(g, simp):
     internal = sum(len(sn.internal_links) for sn in simp.supernodes)
     assert simp.skeleton.link_count + internal == g.link_count
     assert ns.cyclomatic_number(simp.skeleton) == ns.cyclomatic_number(g)
-    # Graph.from_links already refused self-loops/multilinks in the skeleton
+    # the skeleton is simple: normalized, unique links and no self-loops
+    links = simp.skeleton.links
+    assert all(u < v for u, v in links)
+    assert len(set(links)) == len(links)
     assert sum(simp.skeleton.degrees) == 2 * simp.skeleton.link_count
 
 
@@ -129,6 +132,17 @@ class TestTreeContract:
                 assert simp.membership == membership
                 assert [(s.members, s.internal_links) for s in simp.supernodes] == supernodes
                 assert list(simp.skeleton.links) == skeleton_links
+
+    def test_skeleton_is_quotient_graph(self, karate):
+        for g in contraction_corpus(karate):
+            simp = ns.tree_contract(g, ns.order_links_random(g, 5))
+            q = ns.quotient_graph(g, simp.membership)
+            assert q == simp.skeleton
+            assert q.labels == tuple(f"s{i}" for i in range(len(simp.supernodes)))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(NetskelError, match="no nodes"):
+            ns.tree_contract(ns.Graph.from_links(0, []), [])
 
     def test_recontraction_is_idempotent(self, karate):
         simp = ns.tree_contract(karate, ns.order_links_random(karate, 2))
@@ -222,6 +236,14 @@ class TestMinimize:
     def test_rejects_zero_trials(self):
         with pytest.raises(NetskelError):
             ns.minimize_h_simp(ns.gen_ring(5), 0, 1)
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ConnectivityError):
+            ns.minimize_h_simp(ns.load_edge_list("a b\nb c\nd e"), 5, 1)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(NetskelError, match="no nodes"):
+            ns.minimize_h_simp(ns.Graph.from_links(0, []), 5, 1)
 
 
 class TestScaling:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import netskel as ns
@@ -112,3 +114,9 @@ class TestScalingConstants:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(NetskelError):
             ns.ScalingConstants(tree_amplitude=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ns.ScalingConstants)])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(NetskelError, match=f"{name} must be finite"):
+            ns.ScalingConstants(**{name: value})

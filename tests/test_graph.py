@@ -48,6 +48,36 @@ class TestLoadEdgeList:
         assert sum(karate.degrees) == 2 * karate.link_count
 
 
+class TestFromLinks:
+    def test_builds_sorted_normalized_graph(self):
+        g = ns.Graph.from_links(3, [(2, 1), (0, 1)], ["a", "b", "c"])
+        assert g.links == ((0, 1), (1, 2))
+        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert g.labels == ("a", "b", "c")
+
+    @pytest.mark.parametrize("link", [(0, 3), (-1, 0)])
+    def test_unknown_node_rejected(self, link):
+        with pytest.raises(ValidationError, match="unknown node"):
+            ns.Graph.from_links(3, [link])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValidationError, match="self-loop on node 'b'"):
+            ns.Graph.from_links(2, [(0, 1), (1, 1)], ["a", "b"])
+
+    @pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+    def test_duplicate_link_rejected(self, second):
+        with pytest.raises(ValidationError, match="duplicate link '0' -- '1'"):
+            ns.Graph.from_links(2, [(0, 1), second])
+
+    def test_wrong_label_count_rejected(self):
+        with pytest.raises(ValidationError, match="2 labels for 3 nodes"):
+            ns.Graph.from_links(3, [(0, 1)], ["a", "b"])
+
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            ns.Graph.from_links(-1, [])
+
+
 class TestCyclomaticNumber:
     def test_tree_is_zero(self):
         assert ns.cyclomatic_number(ns.gen_random_tree(17, 5)) == 0
@@ -87,21 +117,19 @@ class TestConnectedComponents:
 
 class TestQuotientGraph:
     def test_singleton_partition_is_identity(self, karate):
-        p = ns.Partition(tuple(range(karate.node_count)), karate.node_count)
-        q = ns.quotient_graph(karate, p)
+        q = ns.quotient_graph(karate, tuple(range(karate.node_count)))
         assert q.links == karate.links
+        assert q.labels == tuple(f"s{i}" for i in range(karate.node_count))
 
     def test_ring12_three_blocks_gives_triangle(self):
         g = ns.gen_ring(12)
-        p = ns.Partition(tuple(i // 4 for i in range(12)), 3)
-        q = ns.quotient_graph(g, p)
+        q = ns.quotient_graph(g, tuple(i // 4 for i in range(12)))
         assert q.node_count == 3
         assert q.link_count == 3
 
     def test_karate_external_partition_reduces_cyclomatic(self, karate):
         # 4 groups by index stripes forces many cross-links to collapse
-        p = ns.Partition(tuple(i % 4 for i in range(34)), 4)
-        q = ns.quotient_graph(karate, p)
+        q = ns.quotient_graph(karate, tuple(i % 4 for i in range(34)))
         # independent dedup of cross-group links
         expected = {
             tuple(sorted((u % 4, v % 4)))
@@ -113,29 +141,16 @@ class TestQuotientGraph:
 
     def test_size_mismatch_rejected(self):
         g = ns.gen_ring(5)
-        with pytest.raises(ValidationError):
-            ns.quotient_graph(g, ns.Partition((0, 0, 1, 1), 2))
+        with pytest.raises(ValidationError, match="covers 4 nodes"):
+            ns.quotient_graph(g, (0, 0, 1, 1))
+
+    def test_negative_group_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            ns.quotient_graph(ns.gen_ring(3), (0, -1, 1))
 
     def test_degree_sum_after_quotient(self, karate):
-        p = ns.Partition(tuple(i % 3 for i in range(34)), 3)
-        q = ns.quotient_graph(karate, p)
+        q = ns.quotient_graph(karate, tuple(i % 3 for i in range(34)))
         assert sum(q.degrees) == 2 * q.link_count
-
-
-class TestPartition:
-    def test_rejects_sparse_group_indices(self):
-        with pytest.raises(ValidationError):
-            ns.Partition((0, 2), 3)
-
-    def test_load_partition(self):
-        g = ns.load_edge_list("a b\nb c\nc d")
-        p = ns.load_partition("a 0\nb 0\nc 1\nd 1", g)
-        assert p.assignment == (0, 0, 1, 1)
-
-    def test_load_partition_missing_node(self):
-        g = ns.load_edge_list("a b\nb c")
-        with pytest.raises(ValidationError, match="cover"):
-            ns.load_partition("a 0\nb 1", g)
 
 
 class TestToDot:
