@@ -8,6 +8,7 @@ byte-identical output (floats are printed with 6 significant digits).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import fields
@@ -338,7 +339,10 @@ def run(
     stdout: Optional[IO[str]] = None,
     stderr: Optional[IO[str]] = None,
 ) -> int:
-    stdin = stdin if stdin is not None else sys.stdin
+    if stdin is None:
+        stdin = sys.stdin
+        if isinstance(stdin, io.TextIOWrapper):  # C locales decode with surrogateescape
+            stdin.reconfigure(encoding="utf-8", errors="strict")
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()

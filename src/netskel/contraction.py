@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NetskelError
 from .graph import Graph, Link, quotient_graph, require_connected
-from .searchinfo import _tree_total_bits, total_search_information
+from .searchinfo import _search_information, _tree_total_bits
 from .seeding import derive_seed
 
 
@@ -149,10 +149,11 @@ def supernode_tree(g: Graph, sn: SuperNode) -> Graph:
 
 
 def skeleton_bits(skeleton: Graph) -> float:
-    """Total search information of a skeleton; one super-node has no paths."""
+    """Total search information of a skeleton (connected by construction, so not
+    re-checked); one super-node has no paths."""
     if skeleton.node_count <= 1:
         return 0.0
-    return total_search_information(skeleton).total_bits
+    return _search_information(skeleton).total_bits
 
 
 def simplified_search_information(s: SimplifiedNetwork) -> SimplifiedSearchInfo:

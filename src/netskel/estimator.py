@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegenerateFitError, NetskelError
 
@@ -55,25 +54,21 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     if len(points) < 3:
         raise DegenerateFitError(f"need at least 3 points, got {len(points)}")
     for x, y in points:
-        if x <= 0 or y <= 0:
-            raise NetskelError(f"power-law fit requires positive values, got ({x}, {y})")
-    lx = np.log([x for x, _ in points])
-    ly = np.log([y for _, y in points])
-    if np.allclose(lx, lx[0]):
+        if not (0 < x < math.inf and 0 < y < math.inf):
+            raise NetskelError(f"power-law fit requires positive finite values, got ({x}, {y})")
+    lx = [math.log(x) for x, _ in points]
+    ly = [math.log(y) for _, y in points]
+    if all(abs(v - lx[0]) <= 1e-8 + 1e-5 * abs(lx[0]) for v in lx):
         raise DegenerateFitError("all x values are equal; slope is undetermined")
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residuals = ly - (slope * lx + intercept)
-    ss_res = float(np.dot(residuals, residuals))
-    ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
+    slope, intercept = statistics.linear_regression(lx, ly)
+    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(lx, ly))
+    mean = math.fsum(ly) / len(ly)
+    ss_tot = math.fsum((b - mean) ** 2 for b in ly)
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-18 else 0.0
     else:
         r2 = max(0.0, 1.0 - ss_res / ss_tot)
-    return PowerLawFit(
-        amplitude=float(math.exp(intercept)),
-        exponent=float(slope),
-        r_squared=r2,
-    )
+    return PowerLawFit(amplitude=math.exp(intercept), exponent=slope, r_squared=r2)
 
 
 def estimate_h_from_skeleton(

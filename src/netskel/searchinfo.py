@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
 
@@ -99,7 +97,8 @@ def _walk_log2_probabilities(
             la[v] = -log2_ks
             continue
         terms = [la[u] - math.log2(degrees[u] - 1) for u in preds[v]]
-        la[v] = float(np.logaddexp2.reduce(terms)) if len(terms) > 1 else terms[0]
+        top = max(terms)
+        la[v] = top + math.log2(math.fsum(2.0 ** (t - top) for t in terms))
     return la
 
 
@@ -160,6 +159,11 @@ def pair_search_information(g: Graph, s: int, d: int) -> float:
 def total_search_information(g: Graph, with_pairs: bool = False) -> SearchInfoReport:
     """Sum of H(s->d) over all ordered pairs of a connected graph."""
     require_connected(g)
+    return _search_information(g, with_pairs)
+
+
+def _search_information(g: Graph, with_pairs: bool = False) -> SearchInfoReport:
+    """total_search_information on a graph known to be connected."""
     per_source: list[float] = []
     pair_rows: list[tuple[float, ...]] = []
     for s in range(g.node_count):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,21 @@ def invoke(argv, stdin_text=""):
     stdin, stdout, stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
     code = run(argv, stdin=stdin, stdout=stdout, stderr=stderr)
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def invoke_process(argv, stdin_bytes=b"", first_on_path=None, **env):
+    """Run the CLI in a fresh interpreter with the environment's stdin encoding
+    settings removed; first_on_path goes ahead of netskel on PYTHONPATH."""
+    path = [str(Path(ns.__file__).resolve().parent.parent)]
+    if first_on_path is not None:
+        path.insert(0, str(first_on_path))
+    base = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    return subprocess.run(
+        [sys.executable, "-m", "netskel.cli", *argv],
+        input=stdin_bytes,
+        capture_output=True,
+        env={**base, **env, "PYTHONPATH": os.pathsep.join(path)},
+    )
 
 
 @pytest.fixture
@@ -206,7 +225,33 @@ class TestDeterminismAndErrors:
         assert run(["info", "-"], stdin=stdin, stdout=stdout, stderr=stderr) == 1
         assert stderr.getvalue() == "error: stdin is not UTF-8 text (byte 0)\n"
 
+    def test_non_utf8_real_stdin_under_c_locale_exit_1(self):
+        # a C locale decodes sys.stdin with surrogateescape unless run() asks for strict
+        proc = invoke_process(["info", "-"], b"a b\n\xff\xfe c\n", LC_ALL="C")
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: stdin is not UTF-8 text (byte 4)\n"
+
     def test_parse_error_exit_1(self):
         code, _, err = invoke(["info", "-"], "a b c\n")
         assert code == 1
         assert "line 1" in err
+
+
+class TestStandardLibraryOnly:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search-info", "KARATE"],
+            ["minimize", "KARATE", "--trials", "20"],
+            ["estimate", "KARATE"],
+            ["tree-scaling", "--min", "10", "--max", "40", "--samples", "5"],
+        ],
+    )
+    def test_runs_without_numpy(self, argv, karate_path, tmp_path):
+        stub = tmp_path / "stub" / "numpy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("raise ImportError('numpy is blocked')\n")
+        argv = [karate_path if a == "KARATE" else a for a in argv]
+        proc = invoke_process(argv, first_on_path=stub.parent)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 import netskel as ns
+from netskel import searchinfo
 from netskel.errors import ConnectivityError, NetskelError
 from conftest import random_connected_graph, tree_with_chords
 from oracle import reference_tree_contract
@@ -244,6 +245,13 @@ class TestMinimize:
     def test_empty_graph_rejected(self):
         with pytest.raises(NetskelError, match="no nodes"):
             ns.minimize_h_simp(ns.Graph.from_links(0, []), 5, 1)
+
+    def test_skeletons_are_not_rechecked_for_connectivity(self, karate, monkeypatch):
+        calls = []
+        check = searchinfo.require_connected
+        monkeypatch.setattr(searchinfo, "require_connected", lambda g: calls.append(g) or check(g))
+        ns.minimize_h_simp(karate, 500, 42)
+        assert calls == []
 
 
 class TestScaling:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -30,6 +31,22 @@ class TestFitPowerLaw:
     def test_rejects_nonpositive(self):
         with pytest.raises(NetskelError):
             ns.fit_power_law([(1, 1), (2, -1), (3, 2)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_non_finite(self, bad, axis):
+        pts = [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0)]
+        pts[1] = (bad, 2.0) if axis == 0 else (2.0, bad)
+        with pytest.raises(NetskelError, match="finite"):
+            ns.fit_power_law(pts)
+
+    def test_pinned_values(self):
+        # least-squares values of numpy.polyfit on the same points
+        fit = ns.fit_power_law([(1, 3), (2, 11), (3, 30), (5, 70)])
+        assert fit.amplitude == pytest.approx(2.985137102749479, rel=1e-12)
+        assert fit.exponent == pytest.approx(1.9909510445501428, rel=1e-12)
+        assert fit.r_squared == pytest.approx(0.9958882865636802, rel=1e-12)
+        assert all(type(v) is float for v in (fit.amplitude, fit.exponent, fit.r_squared))
 
     def test_rejects_too_few_points(self):
         with pytest.raises(DegenerateFitError):

@@ -103,6 +103,21 @@ class TestPairSearchInformation:
         assert math.isfinite(bits)
         assert bits == pytest.approx(n - 2)
 
+    def test_deep_diamond_chain_underflow_sums_predecessors(self):
+        # hubs 0..k; hub i -> a_i, b_i -> hub i+1; p pendant leaves on every
+        # a_i/b_i. The 2^k shortest paths give 2^(k-1) / (3^(k-1) (1+p)^k),
+        # about 2^-1356, so the log-space fallback must sum two predecessors
+        # at every hub.
+        k, p = 400, 6
+        links, nxt = [], k + 1
+        for i in range(k):
+            for mid in (nxt, nxt + 1 + p):
+                links += [(i, mid), (mid, i + 1)] + [(mid, mid + 1 + j) for j in range(p)]
+            nxt += 2 * (1 + p)
+        g = ns.Graph.from_links(nxt, links)
+        want = 1 + (k - 1) * math.log2(3) + k * math.log2(1 + p) - k
+        assert ns.pair_search_information(g, 0, k) == pytest.approx(want, abs=1e-9)
+
 
 class TestTotalSearchInformation:
     def test_chain_of_three(self):
