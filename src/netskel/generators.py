@@ -65,28 +65,39 @@ def rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) -> Graph:
     """Randomize by double-edge swaps that keep the graph simple and connected.
 
     Each attempt picks two edges and swaps endpoints; the swap is discarded
-    if it would create a self-loop or multilink, and reverted if a BFS shows
-    the result disconnected. The degree sequence never changes.
+    if it would create a self-loop or multilink, and reverted if it would
+    disconnect the graph. The degree sequence never changes.
+
+    Once {a,b}, {c,d} become {a,c}, {b,d}, every node still hangs off a, b,
+    c or d, so the graph stays connected iff a reaches b. Searches from a
+    and from b grow the smaller frontier first and stop when they meet or
+    when one side runs out: a full search's answer, without visiting all N.
     """
+    require_connected(g)
     if swap_attempts < 1:
         raise NetskelError(f"swap_attempts must be positive, got {swap_attempts}")
-    require_connected(g)
     if g.link_count < 2:
         return g
     rng = random.Random(seed)
     edges = list(g.links)
     adj: list[set[int]] = [set(ns) for ns in g.adjacency]
 
-    def connected() -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == g.node_count
+    def joined(a: int, b: int) -> bool:
+        side = {a: 0, b: 1}
+        frontiers = [[a], [b]]
+        while frontiers[0] and frontiers[1]:
+            s = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+            grown = []
+            for u in frontiers[s]:
+                for w in adj[u]:
+                    owner = side.get(w)
+                    if owner is None:
+                        side[w] = s
+                        grown.append(w)
+                    elif owner != s:
+                        return True
+            frontiers[s] = grown
+        return False
 
     for _ in range(swap_attempts):
         i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
@@ -103,7 +114,7 @@ def rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) -> Graph:
         adj[c].remove(d), adj[d].remove(c)
         adj[a].add(c), adj[c].add(a)
         adj[b].add(d), adj[d].add(b)
-        if connected():
+        if joined(a, b):
             edges[i] = (a, c) if a < c else (c, a)
             edges[j] = (b, d) if b < d else (d, b)
         else:

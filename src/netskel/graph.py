@@ -206,7 +206,8 @@ def to_dot(g: Graph, node_weights: Optional[Sequence[int]] = None) -> str:
             raise ValidationError("node_weights must be positive")
     out = ["graph {"]
     for i in range(g.node_count):
-        attrs = [f'label="{g.labels[i]}"']
+        label = g.labels[i].replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if node_weights is not None:
             attrs.append(f"width={0.3 * node_weights[i]:.2f}")
             attrs.append("fixedsize=true")

@@ -4,12 +4,16 @@ Deliberately shares nothing with the DAG dynamic program it checks:
 its own BFS, then a DFS over all shortest paths summing per-path
 walker probabilities. ``reference_tree_contract`` is the original
 copy-on-merge contraction, kept as the slow reference for the
-small-to-large one in the library.
+small-to-large one in the library. ``reference_rewire_degree_preserving``
+is the original rewiring, which checks connectivity with a full DFS
+after every swap, kept as the reference for the library's early-exit
+check.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 from netskel.graph import Graph, Link
@@ -113,3 +117,49 @@ def reference_tree_contract(
         if membership[u] != membership[v]
     }
     return membership, supernodes, sorted(skeleton)
+
+
+def reference_rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) -> Graph:
+    """Double-edge swaps with a full DFS over all N nodes after each one.
+    Draws the same random numbers as the library, so a given seed must
+    give the same links."""
+    if g.link_count < 2:
+        return g
+    rng = random.Random(seed)
+    edges = list(g.links)
+    adj: list[set[int]] = [set(ns) for ns in g.adjacency]
+
+    def connected() -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == g.node_count
+
+    for _ in range(swap_attempts):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if a == c or b == d or c in adj[a] or d in adj[b]:
+            continue
+        adj[a].remove(b), adj[b].remove(a)
+        adj[c].remove(d), adj[d].remove(c)
+        adj[a].add(c), adj[c].add(a)
+        adj[b].add(d), adj[d].add(b)
+        if connected():
+            edges[i] = (a, c) if a < c else (c, a)
+            edges[j] = (b, d) if b < d else (d, b)
+        else:
+            adj[a].remove(c), adj[c].remove(a)
+            adj[b].remove(d), adj[d].remove(b)
+            adj[a].add(b), adj[b].add(a)
+            adj[c].add(d), adj[d].add(c)
+    return Graph.from_links(g.node_count, edges, g.labels)

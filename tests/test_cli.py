@@ -206,7 +206,9 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("command", ["contract", "minimize", "estimate", "search-info"])
+    @pytest.mark.parametrize(
+        "command", ["contract", "minimize", "estimate", "search-info", "randomize"]
+    )
     def test_empty_input_exit_1(self, command):
         code, out, err = invoke([command, "-"], "")
         assert (code, out, err) == (1, "", "error: graph has no nodes\n")

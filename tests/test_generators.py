@@ -1,12 +1,38 @@
+import gc
+import hashlib
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netskel as ns
 from netskel.errors import ConnectivityError, NetskelError
-from conftest import random_connected_graph
+from conftest import random_connected_graph, tree_with_chords
+from oracle import reference_rewire_degree_preserving
+
+
+@st.composite
+def connected_graphs(draw) -> ns.Graph:
+    """Trees with chords, ER graphs, rings and stars of up to 80 nodes."""
+    kind = draw(st.sampled_from(["tree_with_chords", "er", "ring", "star"]))
+    seed = draw(st.integers(0, 2**30))
+    if kind == "tree_with_chords":
+        n = draw(st.integers(4, 80))
+        return tree_with_chords(n, draw(st.integers(0, n // 4)), seed)
+    if kind == "er":
+        return random_connected_graph(draw(st.integers(6, 40)), 0.25, seed)
+    if kind == "ring":
+        return ns.gen_ring(draw(st.integers(3, 80)))
+    n = draw(st.integers(3, 60))
+    return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])
+
+
+def edge_list_digest(g: ns.Graph) -> str:
+    return hashlib.sha256(ns.write_edge_list(g).encode()).hexdigest()
 
 
 class TestRingAndChain:
@@ -102,6 +128,55 @@ class TestRewire:
         g = ns.load_edge_list("a b\nc d")
         with pytest.raises(ConnectivityError):
             ns.rewire_degree_preserving(g, 10, 0)
+
+    def test_swap_check_is_sublinear(self):
+        """A swap's connectivity check must not visit all N nodes: with the
+        same number of attempts, a graph four times larger may cost only
+        the O(N) copy in and out more. Timed like TestScaling in
+        test_contraction.py: sizes in turn, the minimum of ten repeats,
+        the cyclic garbage collector off."""
+        cases = {n: tree_with_chords(n, n // 5, 1) for n in (1000, 4000)}
+        best = dict.fromkeys(cases, float("inf"))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                for n, g in cases.items():
+                    t0 = time.perf_counter()
+                    ns.rewire_degree_preserving(g, 1000, 1)
+                    best[n] = min(best[n], time.perf_counter() - t0)
+        finally:
+            gc.enable()
+        ratio = best[4000] / best[1000]
+        assert ratio < 3.5, f"time(4000)/time(1000) = {ratio:.2f}"
+
+
+class TestRewireMatchesReference:
+    """The early-exit check must accept and reject exactly the swaps that a
+    full DFS after each swap does (``tests/oracle.py``)."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(connected_graphs(), st.integers(0, 2**30))
+    def test_corpus_matches_full_dfs(self, g, seed):
+        attempts = 10 * g.link_count
+        out = ns.rewire_degree_preserving(g, attempts, seed)
+        assert out.links == reference_rewire_degree_preserving(g, attempts, seed).links
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_karate_matches_full_dfs(self, karate, seed):
+        attempts = 10 * karate.link_count
+        out = ns.rewire_degree_preserving(karate, attempts, seed)
+        assert out.links == reference_rewire_degree_preserving(karate, attempts, seed).links
+
+    def test_output_pinned(self, karate):
+        # digests of the full-DFS rewiring that the early-exit check replaced
+        out = ns.rewire_degree_preserving(karate, 10 * karate.link_count, 11)
+        assert edge_list_digest(out) == (
+            "3b7ccf04994949af00ebf0e9d9e69ecec9f8935b50c8a3b84c62fec13603e6be"
+        )
+        assert edge_list_digest(ns.rewire_degree_preserving(ns.gen_ring(40), 400, 3)) == (
+            "1192cedffbebd13bf44078604ff793f75a834a765492b3f1d27ee2bac8a85a63"
+        )
 
 
 class TestTreeScaling:

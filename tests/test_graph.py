@@ -171,6 +171,14 @@ class TestToDot:
     def test_empty_graph(self):
         assert ns.to_dot(ns.Graph.from_links(0, [])) == "graph {\n}\n"
 
+    def test_labels_escape_quote_and_backslash(self):
+        dot = ns.to_dot(ns.load_edge_list('a"b c\nc d\\'))
+        assert dot.splitlines()[1:4] == [
+            '  n0 [label="a\\"b"];',
+            '  n1 [label="c"];',
+            '  n2 [label="d\\\\"];',
+        ]
+
     def test_bad_weights(self):
         with pytest.raises(ValidationError):
             ns.to_dot(ns.gen_ring(3), [1, 1])
