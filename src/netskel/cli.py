@@ -119,20 +119,23 @@ def _cmd_info(args, stdin, stdout) -> int:
 
 
 def _cmd_search_info(args, stdin, stdout) -> int:
+    if args.format == "csv" and not args.pairs:
+        raise NetskelError("csv output for search-info requires --pairs")
     g = _read_graph(args.input, stdin)
-    report = searchinfo.total_search_information(g, with_pairs=args.pairs)
-    if args.format == "csv":
-        if not args.pairs:
-            raise NetskelError("csv output for search-info requires --pairs")
-        assert report.pair_bits is not None
-        rows = (
-            (g.labels[s], g.labels[d], report.pair_bits[s][d])
-            for s in range(g.node_count)
-            for d in range(g.node_count)
-            if s != d
-        )
-        _emit_csv("source_label,dest_label,bits", rows, stdout)
-        return EXIT_OK
+    if not args.pairs:
+        report = searchinfo.total_search_information(g)
+    else:
+        graph.require_connected(g)
+        rows = searchinfo.search_information_rows(g)
+        if args.format == "csv":  # one source row at a time: the N^2 pairs are never held
+            labels = g.labels
+            stdout.write("source_label,dest_label,bits\n")
+            for s, row in enumerate(rows):
+                cells = (f"{labels[s]},{labels[d]},{b:.6g}\n" for d, b in enumerate(row) if d != s)
+                stdout.write("".join(cells))
+            return EXIT_OK
+        rows = list(rows)  # total_bits precedes the pairs in the document
+        report = searchinfo.SearchInfoReport.from_rows(g, rows)
     doc = {
         "n": report.node_count,
         "l": report.link_count,
@@ -141,7 +144,7 @@ def _cmd_search_info(args, stdin, stdout) -> int:
         "per_source_bits": list(report.per_source_bits),
     }
     if args.pairs:
-        doc["pairs"] = [list(row) for row in report.pair_bits]  # type: ignore[union-attr]
+        doc["pairs"] = rows
     _emit_json(doc, stdout)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NetskelError
 from .graph import Graph, Link, quotient_graph, require_connected
-from .searchinfo import _search_information, _tree_total_bits
+from .searchinfo import SearchInfoReport, _tree_total_bits, search_information_rows
 from .seeding import derive_seed
 
 
@@ -153,7 +153,7 @@ def skeleton_bits(skeleton: Graph) -> float:
     re-checked); one super-node has no paths."""
     if skeleton.node_count <= 1:
         return 0.0
-    return _search_information(skeleton).total_bits
+    return SearchInfoReport.from_rows(skeleton, search_information_rows(skeleton)).total_bits
 
 
 def simplified_search_information(s: SimplifiedNetwork) -> SimplifiedSearchInfo:

@@ -86,8 +86,8 @@ def estimate_h_from_skeleton(
         raise NetskelError(
             f"skeleton ({n_skeleton} nodes) cannot exceed the original ({n_original})"
         )
-    if h_skeleton < 0:
-        raise NetskelError(f"h_skeleton must be non-negative, got {h_skeleton}")
+    if not 0 <= h_skeleton < math.inf:
+        raise NetskelError(f"h_skeleton must be finite and non-negative, got {h_skeleton}")
     ratio = n_skeleton / n_original
     return c.inverse_amplitude * ratio ** (-c.inverse_exponent) * h_skeleton
 

@@ -3,8 +3,9 @@
 The pair quantity is H(s->d) = -log2 of the probability that a
 non-backtracking random walker follows one of the shortest paths from
 s to d: each path contributes (1/k_s) * prod over interior nodes j of
-1/(k_j - 1). The sum over all shortest paths is computed by dynamic
-programming over the shortest-path DAG, never by path enumeration.
+1/(k_j - 1). The sum over all shortest paths is pushed forward along
+one BFS per source (dynamic programming over the shortest-path DAG),
+never by path enumeration.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
@@ -45,7 +46,14 @@ class SearchInfoReport:
     per_source_bits: tuple[float, ...]
     total_bits: float
     average_bits: float
-    pair_bits: Optional[tuple[tuple[float, ...], ...]] = None
+
+    @classmethod
+    def from_rows(cls, g: Graph, rows: Iterable[Sequence[float]]) -> SearchInfoReport:
+        """The report of g built from its search_information_rows."""
+        per_source = tuple(map(math.fsum, rows))
+        total = math.fsum(per_source)
+        n = g.node_count
+        return cls(n, g.link_count, per_source, total, total / (n * n))
 
 
 def _bfs(g: Graph, source: int) -> tuple[list[int], list[list[int]], list[int]]:
@@ -102,41 +110,54 @@ def _walk_log2_probabilities(
     return la
 
 
-def _source_log2_probabilities(
-    g: Graph,
-    source: int,
-    dist: list[int],
-    preds: list[list[int]],
-    order: list[int],
-) -> list[float]:
-    """log2 A(v) for every node, using plain products unless they underflow.
+def _source_row(g: Graph, source: int) -> list[float]:
+    """H(source->d) in bits for every node d: 0.0 at the source, inf where
+    d is unreachable.
 
-    A(v) is the probability of reaching v from source along some shortest
-    path: 1/k_s on the first hop, then 1/(k_u - 1) per interior hop origin.
+    One BFS that pushes the walker probability forward as it pops each
+    node u: A(v) is 1/k_s on the first hop, and every v one hop further
+    than u gains A(u)/(k_u - 1). Predecessors are popped before v, in the
+    order a separate DAG pass would sum them, so A(u) is complete when u
+    is popped. If it has fallen below UNDERFLOW_THRESHOLD, the source is
+    redone by the log-space walk.
     """
+    adjacency, degrees = g.adjacency, g.degrees
+    dist = [UNREACHABLE] * g.node_count
     a = [0.0] * g.node_count
+    dist[source] = 0
     a[source] = 1.0
-    inv_ks = 1.0 / g.degrees[source] if g.degrees[source] > 0 else 1.0
-    degrees = g.degrees
-    underflow = False
-    for v in order[1:]:
-        if dist[v] == 1:
-            a[v] = inv_ks
+    order = list(adjacency[source])
+    for v in order:
+        dist[v] = 1
+        a[v] = 1.0 / len(order)
+    for u in order:
+        au = a[u]
+        if au < UNDERFLOW_THRESHOLD:
+            la = _walk_log2_probabilities(g, source, *_bfs(g, source))
+            return [0.0 - x for x in la]
+        k = degrees[u]
+        if k == 1:  # a leaf's one neighbor is its predecessor
             continue
-        total = 0.0
-        for u in preds[v]:
-            total += a[u] / (degrees[u] - 1)
-        if total < UNDERFLOW_THRESHOLD:
-            underflow = True
-            break
-        a[v] = total
-    if underflow:
-        return _walk_log2_probabilities(g, source, dist, preds, order)
-    la = [0.0] * g.node_count
-    log2 = math.log2
-    for v in order[1:]:
-        la[v] = log2(a[v])
-    return la
+        w = au / (k - 1)
+        du = dist[u] + 1
+        for v in adjacency[u]:
+            dv = dist[v]
+            if dv == UNREACHABLE:
+                dist[v] = du
+                a[v] = w
+                order.append(v)
+            elif dv == du:
+                a[v] += w
+    log2, inf = math.log2, math.inf
+    return [0.0 - log2(x) if x else inf for x in a]
+
+
+def search_information_rows(g: Graph) -> Iterator[list[float]]:
+    """For each source s in index order, the row of H(s->d) in bits over
+    every d: 0.0 at d = s, inf where d is unreachable from s. The rows are
+    produced one at a time, so a caller that streams them holds O(N)."""
+    for s in range(g.node_count):
+        yield _source_row(g, s)
 
 
 def pair_search_information(g: Graph, s: int, d: int) -> float:
@@ -145,43 +166,16 @@ def pair_search_information(g: Graph, s: int, d: int) -> float:
         raise NetskelError(f"invalid source index {s}")
     if not (0 <= d < g.node_count):
         raise NetskelError(f"invalid destination index {d}")
-    if s == d:
-        return 0.0
-    dist, preds, order = _bfs(g, s)
-    if dist[d] == UNREACHABLE:
-        raise UnreachableError(
-            f"node {g.labels[d]!r} is unreachable from {g.labels[s]!r}"
-        )
-    la = _source_log2_probabilities(g, s, dist, preds, order)
-    return -la[d]
+    bits = _source_row(g, s)[d]
+    if bits == math.inf:
+        raise UnreachableError(f"node {g.labels[d]!r} is unreachable from {g.labels[s]!r}")
+    return bits
 
 
-def total_search_information(g: Graph, with_pairs: bool = False) -> SearchInfoReport:
+def total_search_information(g: Graph) -> SearchInfoReport:
     """Sum of H(s->d) over all ordered pairs of a connected graph."""
     require_connected(g)
-    return _search_information(g, with_pairs)
-
-
-def _search_information(g: Graph, with_pairs: bool = False) -> SearchInfoReport:
-    """total_search_information on a graph known to be connected."""
-    per_source: list[float] = []
-    pair_rows: list[tuple[float, ...]] = []
-    for s in range(g.node_count):
-        dist, preds, order = _bfs(g, s)
-        la = _source_log2_probabilities(g, s, dist, preds, order)
-        per_source.append(-math.fsum(la))
-        if with_pairs:
-            pair_rows.append(tuple(-x if x != 0.0 else 0.0 for x in la))
-    total = math.fsum(per_source)
-    n = g.node_count
-    return SearchInfoReport(
-        node_count=n,
-        link_count=g.link_count,
-        per_source_bits=tuple(per_source),
-        total_bits=total,
-        average_bits=total / (n * n),
-        pair_bits=tuple(pair_rows) if with_pairs else None,
-    )
+    return SearchInfoReport.from_rows(g, search_information_rows(g))
 
 
 def _tree_total_bits(g: Graph) -> float:

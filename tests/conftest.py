@@ -4,6 +4,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import netskel as ns
 
@@ -38,3 +39,19 @@ def tree_with_chords(n: int, chords: int, seed: int) -> ns.Graph:
         if u != v:
             links.add((min(u, v), max(u, v)))
     return ns.Graph.from_links(n, sorted(links))
+
+
+@st.composite
+def connected_graphs(draw) -> ns.Graph:
+    """Trees with chords, ER graphs, rings and stars of up to 80 nodes."""
+    kind = draw(st.sampled_from(["tree_with_chords", "er", "ring", "star"]))
+    seed = draw(st.integers(0, 2**30))
+    if kind == "tree_with_chords":
+        n = draw(st.integers(4, 80))
+        return tree_with_chords(n, draw(st.integers(0, n // 4)), seed)
+    if kind == "er":
+        return random_connected_graph(draw(st.integers(6, 40)), 0.25, seed)
+    if kind == "ring":
+        return ns.gen_ring(draw(st.integers(3, 80)))
+    n = draw(st.integers(3, 60))
+    return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])

@@ -7,7 +7,10 @@ copy-on-merge contraction, kept as the slow reference for the
 small-to-large one in the library. ``reference_rewire_degree_preserving``
 is the original rewiring, which checks connectivity with a full DFS
 after every swap, kept as the reference for the library's early-exit
-check.
+check. ``reference_source_log2_probabilities`` is the two-pass
+search-information kernel (a BFS that records predecessor lists, then a
+DP over them) that the library's fused single-pass kernel replaced; the
+fused rows must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import random
 from collections import deque
 
 from netskel.graph import Graph, Link
+
+UNREACHABLE = -1
+UNDERFLOW_THRESHOLD = 1e-300
 
 
 def brute_force_pair_bits(g: Graph, s: int, d: int) -> float:
@@ -163,3 +169,87 @@ def reference_rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) 
             adj[a].add(b), adj[b].add(a)
             adj[c].add(d), adj[d].add(c)
     return Graph.from_links(g.node_count, edges, g.labels)
+
+
+def _bfs(g: Graph, source: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """BFS giving (dist, shortest-path predecessors, nodes in visit order)."""
+    dist = [UNREACHABLE] * g.node_count
+    preds: list[list[int]] = [[] for _ in range(g.node_count)]
+    dist[source] = 0
+    order = [source]
+    queue = deque(order)
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for v in g.adjacency[u]:
+            if dist[v] == UNREACHABLE:
+                dist[v] = du + 1
+                queue.append(v)
+                order.append(v)
+            if dist[v] == du + 1:
+                preds[v].append(u)
+    return dist, preds, order
+
+
+def _walk_log2_probabilities(
+    g: Graph,
+    source: int,
+    dist: list[int],
+    preds: list[list[int]],
+    order: list[int],
+) -> list[float]:
+    """Log-space DP over the shortest-path DAG: returns log2 A(v)."""
+    la = [-math.inf] * g.node_count
+    la[source] = 0.0
+    log2_ks = math.log2(g.degrees[source]) if g.degrees[source] > 0 else 0.0
+    degrees = g.degrees
+    for v in order[1:]:
+        if dist[v] == 1:
+            la[v] = -log2_ks
+            continue
+        terms = [la[u] - math.log2(degrees[u] - 1) for u in preds[v]]
+        top = max(terms)
+        la[v] = top + math.log2(math.fsum(2.0 ** (t - top) for t in terms))
+    return la
+
+
+def _source_log2_probabilities(
+    g: Graph,
+    source: int,
+    dist: list[int],
+    preds: list[list[int]],
+    order: list[int],
+) -> list[float]:
+    """log2 A(v) for every node, using plain products unless they underflow.
+
+    A(v) is the probability of reaching v from source along some shortest
+    path: 1/k_s on the first hop, then 1/(k_u - 1) per interior hop origin.
+    """
+    a = [0.0] * g.node_count
+    a[source] = 1.0
+    inv_ks = 1.0 / g.degrees[source] if g.degrees[source] > 0 else 1.0
+    degrees = g.degrees
+    underflow = False
+    for v in order[1:]:
+        if dist[v] == 1:
+            a[v] = inv_ks
+            continue
+        total = 0.0
+        for u in preds[v]:
+            total += a[u] / (degrees[u] - 1)
+        if total < UNDERFLOW_THRESHOLD:
+            underflow = True
+            break
+        a[v] = total
+    if underflow:
+        return _walk_log2_probabilities(g, source, dist, preds, order)
+    la = [0.0] * g.node_count
+    log2 = math.log2
+    for v in order[1:]:
+        la[v] = log2(a[v])
+    return la
+
+
+def reference_source_log2_probabilities(g: Graph, source: int) -> list[float]:
+    """log2 A(v) for every node of a connected graph, by BFS then DP."""
+    return _source_log2_probabilities(g, source, *_bfs(g, source))

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -71,9 +73,71 @@ class TestSearchInfo:
         assert len(lines) == 1 + 3 * 2
 
     def test_csv_without_pairs_is_domain_error(self):
-        code, _, err = invoke(["search-info", "-", "--format", "csv"], "a b\n")
+        # refused before the graph is read, so disconnected input gets the same error
+        for text in ("a b\n", "a b\nc d\n"):
+            code, out, err = invoke(["search-info", "-", "--format", "csv"], text)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
+            assert "--pairs" in err
+
+    def test_no_negative_zero(self):
+        code, out, _ = invoke(["search-info", "-"], "a b\nb c\n")
+        assert code == 0
+        assert json.loads(out)["per_source_bits"] == [0.0, 2.0, 0.0]
+        assert "-0.0" not in out
+
+    def test_pair_csv_disconnected_is_domain_error(self):
+        code, out, err = invoke(["search-info", "-", "--pairs", "--format", "csv"], "a b\nc d\n")
         assert code == 1
-        assert err.startswith("error:")
+        assert out == ""
+        assert "disconnected" in err
+
+    def test_pair_json_matches_csv(self, karate_path):
+        _, doc, _ = invoke(["search-info", karate_path, "--pairs"])
+        _, csv, _ = invoke(["search-info", karate_path, "--pairs", "--format", "csv"])
+        doc = json.loads(doc)
+        assert abs(doc["total_bits"] - 6061) <= 1
+        cells = [line.split(",") for line in csv.splitlines()[1:]]
+        assert len(cells) == 34 * 33
+        labels = ns.load_edge_list(Path(karate_path).read_text()).labels
+        index = {label: i for i, label in enumerate(labels)}
+        for src, dst, bits in cells:
+            assert float(bits) == doc["pairs"][index[src]][index[dst]]
+
+    def test_pair_csv_streams_in_bounded_memory(self):
+        # connected G(n, m) with N=600, L=1800: the N^2 pair matrix alone
+        # would take several MiB; streamed rows keep the peak near O(N)
+        n, m = 600, 1800
+        rng = random.Random(7)
+        while True:
+            links = set()
+            while len(links) < m:
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    links.add((min(u, v), max(u, v)))
+            g = ns.Graph.from_links(n, sorted(links))
+            if ns.is_connected(g):
+                break
+        text = ns.write_edge_list(g)
+
+        class Discard(io.TextIOBase):
+            def write(self, s):
+                return len(s)
+
+        tracemalloc.start()
+        try:
+            code = run(
+                ["search-info", "-", "--pairs", "--format", "csv"],
+                stdin=io.StringIO(text),
+                stdout=Discard(),
+                stderr=io.StringIO(),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
 
     def test_disconnected_is_domain_error(self):
         code, _, err = invoke(["search-info", "-"], "a b\nc d\n")

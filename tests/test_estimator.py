@@ -79,6 +79,13 @@ class TestEstimateFromSkeleton:
         with pytest.raises(NetskelError):
             ns.estimate_h_from_skeleton(1.0, 0, 10)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_h_skeleton(self, bad):
+        with pytest.raises(NetskelError, match="finite and non-negative"):
+            ns.estimate_h_from_skeleton(bad, 5, 10)
+        with pytest.raises(NetskelError, match="finite and non-negative"):
+            ns.skeleton_estimate(bad, 5, 10)
+
     def test_low_confidence_flag_below_threshold(self):
         est = ns.skeleton_estimate(1000.0, 51, 369)  # TfL-like ratio 0.138
         assert est.ratio == pytest.approx(51 / 369)

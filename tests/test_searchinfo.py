@@ -2,12 +2,47 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import netskel as ns
+from netskel import searchinfo
 from netskel.errors import ConnectivityError, NetskelError, UnreachableError
 from netskel.searchinfo import _tree_total_bits
-from conftest import random_connected_graph
-from oracle import brute_force_pair_bits, brute_force_total_bits
+from conftest import connected_graphs, random_connected_graph
+from oracle import (
+    brute_force_pair_bits,
+    brute_force_total_bits,
+    reference_source_log2_probabilities,
+)
+
+
+def deep_diamond_chain(k: int = 400, p: int = 6) -> ns.Graph:
+    """Hubs 0..k; hub i -> a_i, b_i -> hub i+1; p pendant leaves on every
+    a_i/b_i. From hub 0 the 2^k shortest paths to hub k give
+    2^(k-1) / (3^(k-1) (1+p)^k), about 2^-1356 at the defaults, so the
+    kernel must fall back to log space and sum two predecessors at every hub."""
+    links, nxt = [], k + 1
+    for i in range(k):
+        for mid in (nxt, nxt + 1 + p):
+            links += [(i, mid), (mid, i + 1)] + [(mid, mid + 1 + j) for j in range(p)]
+        nxt += 2 * (1 + p)
+    return ns.Graph.from_links(nxt, links)
+
+
+def reference_row(g: ns.Graph, s: int) -> list[float]:
+    """The pair bits of the two-pass kernel: -log2 A, with 0.0 for -0.0."""
+    return [-x if x != 0.0 else 0.0 for x in reference_source_log2_probabilities(g, s)]
+
+
+def hexes(row) -> list[str]:
+    return [float.hex(x) for x in row]
+
+
+def assert_rows_match_reference(g: ns.Graph) -> None:
+    """Every row bit for bit, and per-source bits equal to the old -fsum(log2 A)."""
+    for s, row in enumerate(ns.search_information_rows(g)):
+        assert hexes(row) == hexes(reference_row(g, s))
+        assert math.fsum(row) == -math.fsum(reference_source_log2_probabilities(g, s))
 
 
 class TestShortestPathDag:
@@ -104,17 +139,8 @@ class TestPairSearchInformation:
         assert bits == pytest.approx(n - 2)
 
     def test_deep_diamond_chain_underflow_sums_predecessors(self):
-        # hubs 0..k; hub i -> a_i, b_i -> hub i+1; p pendant leaves on every
-        # a_i/b_i. The 2^k shortest paths give 2^(k-1) / (3^(k-1) (1+p)^k),
-        # about 2^-1356, so the log-space fallback must sum two predecessors
-        # at every hub.
         k, p = 400, 6
-        links, nxt = [], k + 1
-        for i in range(k):
-            for mid in (nxt, nxt + 1 + p):
-                links += [(i, mid), (mid, i + 1)] + [(mid, mid + 1 + j) for j in range(p)]
-            nxt += 2 * (1 + p)
-        g = ns.Graph.from_links(nxt, links)
+        g = deep_diamond_chain(k, p)
         want = 1 + (k - 1) * math.log2(3) + k * math.log2(1 + p) - k
         assert ns.pair_search_information(g, 0, k) == pytest.approx(want, abs=1e-9)
 
@@ -131,11 +157,29 @@ class TestTotalSearchInformation:
         assert report.total_bits == pytest.approx(6061, abs=1)
 
     def test_report_consistency(self, karate):
-        report = ns.total_search_information(karate, with_pairs=True)
+        report = ns.total_search_information(karate)
+        rows = list(ns.search_information_rows(karate))
+        assert len(rows) == 34
         assert report.total_bits == pytest.approx(sum(report.per_source_bits))
         assert report.average_bits == pytest.approx(report.total_bits / 34**2)
-        assert all(report.pair_bits[s][s] == 0.0 for s in range(34))
-        assert all(b >= 0 for row in report.pair_bits for b in row)
+        assert all(rows[s][s] == 0.0 for s in range(34))
+        assert all(b >= 0 for row in rows for b in row)
+        assert all(math.fsum(row) == report.per_source_bits[s] for s, row in enumerate(rows))
+
+    def test_no_negative_zero_bits(self):
+        # every path from a chain end costs 0 bits; -fsum of zeros was -0.0
+        report = ns.total_search_information(ns.gen_chain(3))
+        assert report.per_source_bits == (0.0, 2.0, 0.0)
+        assert all(math.copysign(1, b) == 1 for b in report.per_source_bits)
+        assert math.copysign(1, report.total_bits) == 1
+
+    def test_rows_mark_unreachable_as_inf(self):
+        g = ns.Graph.from_links(3, [(0, 1)])
+        assert list(ns.search_information_rows(g)) == [
+            [0.0, 0.0, math.inf],
+            [0.0, 0.0, math.inf],
+            [math.inf, math.inf, 0.0],
+        ]
 
     def test_matches_brute_force(self):
         g = random_connected_graph(7, 0.4, 99)
@@ -152,6 +196,38 @@ class TestTotalSearchInformation:
         report = ns.total_search_information(ns.gen_chain(1))
         assert report.total_bits == 0.0
         assert report.average_bits == 0.0
+
+
+class TestFusedKernelMatchesReference:
+    """The single-pass kernel against the two-pass BFS + DP it replaced
+    (``tests/oracle.py``), compared bit for bit."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_corpus_rows_bitwise(self, g):
+        assert_rows_match_reference(g)
+
+    def test_karate_rows_bitwise(self, karate):
+        assert_rows_match_reference(karate)
+
+    def test_log_space_fallback_bitwise(self, monkeypatch):
+        # hub 0 and hub k underflow; from the middle hub every A stays above
+        # the threshold, as it does from a pendant leaf next to the middle
+        k = 400
+        g = deep_diamond_chain(k)
+        walked = []
+        walk = searchinfo._walk_log2_probabilities
+
+        def counting_walk(graph, source, *args):
+            walked.append(source)
+            return walk(graph, source, *args)
+
+        monkeypatch.setattr(searchinfo, "_walk_log2_probabilities", counting_walk)
+        middle_leaf = g.adjacency[g.adjacency[k // 2][-1]][-1]
+        sources = [0, k, k // 2, middle_leaf]
+        for s in sources:
+            assert hexes(searchinfo._source_row(g, s)) == hexes(reference_row(g, s))
+        assert walked == [0, k]
 
 
 class TestTreeTotal:
