@@ -11,7 +11,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import fields
 from typing import IO, Optional, Sequence
 
 from . import contraction, estimator, generators, graph, searchinfo
@@ -66,11 +65,10 @@ def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
 def _parse_constants(pairs: Optional[Sequence[str]]) -> estimator.ScalingConstants:
     if not pairs:
         return estimator.ScalingConstants()
-    valid = {f.name for f in fields(estimator.ScalingConstants)}
     overrides = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        if not sep or key not in valid:
+        if not sep or key not in ("inverse_amplitude", "inverse_exponent"):
             raise NetskelError(f"unknown constant override {pair!r}")
         try:
             overrides[key] = float(value)
@@ -110,7 +108,7 @@ def _cmd_info(args, stdin, stdout) -> int:
         {
             "n": g.node_count,
             "l": g.link_count,
-            "cyclomatic": graph.cyclomatic_number(g),
+            "cyclomatic": g.link_count - g.node_count + count,
             "components": count,
         },
         stdout,
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--constants",
         action="append",
         metavar="KEY=VALUE",
-        help="override a scaling constant (repeatable)",
+        help="override inverse_amplitude or inverse_exponent (repeatable)",
     )
     add_format(p, choices=("json",))
     p.set_defaults(func=_cmd_estimate)

@@ -25,8 +25,6 @@ class PowerLawFit:
 class ScalingConstants:
     """Published scaling constants; override any of them with a re-fitted value."""
 
-    skeleton_amplitude: float = 0.988
-    skeleton_exponent: float = 2.355
     inverse_amplitude: float = 1.012
     inverse_exponent: float = 2.35
     tree_amplitude: float = 0.721
@@ -36,7 +34,7 @@ class ScalingConstants:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise NetskelError(f"{name} must be finite, got {value}")
-        for name in ("skeleton_amplitude", "inverse_amplitude", "tree_amplitude"):
+        for name in ("inverse_amplitude", "tree_amplitude"):
             if getattr(self, name) <= 0:
                 raise NetskelError(f"{name} must be positive")
 

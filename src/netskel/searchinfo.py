@@ -11,7 +11,6 @@ never by path enumeration.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -23,15 +22,6 @@ UNREACHABLE = -1
 # Below this probability the per-source DP switches to log-space
 # accumulation; plain products would denormalize/underflow.
 UNDERFLOW_THRESHOLD = 1e-300
-
-
-@dataclass(frozen=True)
-class ShortestPathDag:
-    """BFS distances plus, per node, the neighbors one hop closer to source."""
-
-    source: int
-    dist: tuple[int, ...]
-    predecessors: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -56,58 +46,38 @@ class SearchInfoReport:
         return cls(n, g.link_count, per_source, total, total / (n * n))
 
 
-def _bfs(g: Graph, source: int) -> tuple[list[int], list[list[int]], list[int]]:
-    """BFS giving (dist, shortest-path predecessors, nodes in visit order)."""
+def _log_row(g: Graph, source: int) -> list[float]:
+    """The row of _source_row computed in log space, for sources whose
+    walker probability underflows.
+
+    One BFS: when v is popped, every neighbor one hop closer to the source
+    has been popped and its log2 A is final, so log2 A(v) is the
+    log-sum-exp of log2 A(u) - log2(k_u - 1) over those neighbors (or
+    -log2 k_s on the first hop). fsum rounds correctly and max ignores
+    order, so summing in adjacency order gives the same bits as in pop
+    order.
+    """
+    adjacency, degrees = g.adjacency, g.degrees
+    log2 = math.log2
     dist = [UNREACHABLE] * g.node_count
-    preds: list[list[int]] = [[] for _ in range(g.node_count)]
-    dist[source] = 0
-    order = [source]
-    queue = deque(order)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(v)
-                order.append(v)
-            if dist[v] == du + 1:
-                preds[v].append(u)
-    return dist, preds, order
-
-
-def shortest_path_dag(g: Graph, source: int) -> ShortestPathDag:
-    """BFS from source; predecessor lists span exactly the shortest-path DAG."""
-    if not (0 <= source < g.node_count):
-        raise NetskelError(f"invalid source index {source}")
-    dist, preds, _ = _bfs(g, source)
-    return ShortestPathDag(
-        source=source,
-        dist=tuple(dist),
-        predecessors=tuple(tuple(ps) for ps in preds),
-    )
-
-
-def _walk_log2_probabilities(
-    g: Graph,
-    source: int,
-    dist: list[int],
-    preds: list[list[int]],
-    order: list[int],
-) -> list[float]:
-    """Log-space DP over the shortest-path DAG: returns log2 A(v)."""
     la = [-math.inf] * g.node_count
+    dist[source] = 0
     la[source] = 0.0
-    log2_ks = math.log2(g.degrees[source]) if g.degrees[source] > 0 else 0.0
-    degrees = g.degrees
-    for v in order[1:]:
-        if dist[v] == 1:
-            la[v] = -log2_ks
-            continue
-        terms = [la[u] - math.log2(degrees[u] - 1) for u in preds[v]]
-        top = max(terms)
-        la[v] = top + math.log2(math.fsum(2.0 ** (t - top) for t in terms))
-    return la
+    order = list(adjacency[source])
+    for v in order:
+        dist[v] = 1
+        la[v] = -log2(len(order))
+    for v in order:
+        dv = dist[v]
+        if dv > 1:
+            terms = [la[u] - log2(degrees[u] - 1) for u in adjacency[v] if dist[u] == dv - 1]
+            top = max(terms)
+            la[v] = top + log2(math.fsum(2.0 ** (t - top) for t in terms))
+        for w in adjacency[v]:
+            if dist[w] == UNREACHABLE:
+                dist[w] = dv + 1
+                order.append(w)
+    return [0.0 - x for x in la]
 
 
 def _source_row(g: Graph, source: int) -> list[float]:
@@ -119,7 +89,7 @@ def _source_row(g: Graph, source: int) -> list[float]:
     than u gains A(u)/(k_u - 1). Predecessors are popped before v, in the
     order a separate DAG pass would sum them, so A(u) is complete when u
     is popped. If it has fallen below UNDERFLOW_THRESHOLD, the source is
-    redone by the log-space walk.
+    redone in log space by _log_row.
     """
     adjacency, degrees = g.adjacency, g.degrees
     dist = [UNREACHABLE] * g.node_count
@@ -133,8 +103,7 @@ def _source_row(g: Graph, source: int) -> list[float]:
     for u in order:
         au = a[u]
         if au < UNDERFLOW_THRESHOLD:
-            la = _walk_log2_probabilities(g, source, *_bfs(g, source))
-            return [0.0 - x for x in la]
+            return _log_row(g, source)
         k = degrees[u]
         if k == 1:  # a leaf's one neighbor is its predecessor
             continue

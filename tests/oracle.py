@@ -10,7 +10,9 @@ after every swap, kept as the reference for the library's early-exit
 check. ``reference_source_log2_probabilities`` is the two-pass
 search-information kernel (a BFS that records predecessor lists, then a
 DP over them) that the library's fused single-pass kernel replaced; the
-fused rows must equal it bit for bit.
+fused rows must equal it bit for bit, and the library's one-pass
+log-space redo must equal its ``_walk_log2_probabilities``. Its ``_bfs``
+is the only predecessor-list BFS in the repository.
 """
 
 from __future__ import annotations

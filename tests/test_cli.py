@@ -218,6 +218,12 @@ class TestPipelines:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("pair", ["tree_amplitude=2", "skeleton_exponent=9"])
+    def test_estimate_refuses_constants_it_does_not_read(self, karate_path, pair):
+        code, out, err = invoke(["estimate", karate_path, "--constants", pair])
+        assert (code, out) == (1, "")
+        assert "unknown constant override" in err
+
     @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
     def test_estimate_non_numeric_constant(self, karate_path, value):
         code, out, err = invoke(

@@ -131,7 +131,6 @@ class TestRelativeError:
 class TestScalingConstants:
     def test_defaults_are_published_values(self):
         c = ns.ScalingConstants()
-        assert (c.skeleton_amplitude, c.skeleton_exponent) == (0.988, 2.355)
         assert (c.inverse_amplitude, c.inverse_exponent) == (1.012, 2.35)
         assert (c.tree_amplitude, c.tree_exponent) == (0.721, 2.550)
 

@@ -9,6 +9,7 @@ from netskel import searchinfo
 from netskel.errors import ConnectivityError, NetskelError, UnreachableError
 from netskel.searchinfo import _tree_total_bits
 from conftest import connected_graphs, random_connected_graph
+import oracle
 from oracle import (
     brute_force_pair_bits,
     brute_force_total_bits,
@@ -45,45 +46,6 @@ def assert_rows_match_reference(g: ns.Graph) -> None:
         assert math.fsum(row) == -math.fsum(reference_source_log2_probabilities(g, s))
 
 
-class TestShortestPathDag:
-    def test_triangle(self):
-        dag = ns.shortest_path_dag(ns.gen_ring(3), 0)
-        assert dag.dist == (0, 1, 1)
-        assert dag.predecessors[1] == (0,)
-        assert dag.predecessors[2] == (0,)
-
-    def test_four_cycle_degenerate(self):
-        dag = ns.shortest_path_dag(ns.gen_ring(4), 0)
-        assert sorted(dag.predecessors[2]) == [1, 3]
-
-    def test_path(self):
-        dag = ns.shortest_path_dag(ns.gen_chain(3), 0)
-        assert dag.dist[2] == 2
-        assert dag.predecessors[2] == (1,)
-
-    def test_invalid_source(self):
-        with pytest.raises(NetskelError):
-            ns.shortest_path_dag(ns.gen_chain(3), 3)
-
-    def test_unreachable_sentinel(self):
-        from netskel.searchinfo import UNREACHABLE
-
-        g = ns.Graph.from_links(3, [(0, 1)])
-        dag = ns.shortest_path_dag(g, 0)
-        assert dag.dist[2] == UNREACHABLE
-
-    def test_predecessors_walk_back_to_source(self):
-        g = random_connected_graph(12, 0.3, 3)
-        dag = ns.shortest_path_dag(g, 0)
-        for v in range(g.node_count):
-            steps = 0
-            node = v
-            while node != 0:
-                node = dag.predecessors[node][0]
-                steps += 1
-            assert steps == dag.dist[v]
-
-
 class TestPairSearchInformation:
     def test_triangle_adjacent(self):
         assert ns.pair_search_information(ns.gen_ring(3), 0, 1) == pytest.approx(1.0)
@@ -97,6 +59,11 @@ class TestPairSearchInformation:
 
     def test_same_node_is_zero(self):
         assert ns.pair_search_information(ns.gen_ring(5), 2, 2) == 0.0
+
+    @pytest.mark.parametrize("s, d", [(-1, 0), (5, 0), (0, -1), (0, 5)])
+    def test_out_of_range_index_raises(self, s, d):
+        with pytest.raises(NetskelError, match="invalid"):
+            ns.pair_search_information(ns.gen_ring(5), s, d)
 
     def test_unreachable_raises(self):
         g = ns.Graph.from_links(3, [(0, 1)])
@@ -210,19 +177,26 @@ class TestFusedKernelMatchesReference:
     def test_karate_rows_bitwise(self, karate):
         assert_rows_match_reference(karate)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_log_row_matches_reference_walk(self, g):
+        for s in range(g.node_count):
+            want = oracle._walk_log2_probabilities(g, s, *oracle._bfs(g, s))
+            assert hexes(searchinfo._log_row(g, s)) == hexes([0.0 - x for x in want])
+
     def test_log_space_fallback_bitwise(self, monkeypatch):
         # hub 0 and hub k underflow; from the middle hub every A stays above
         # the threshold, as it does from a pendant leaf next to the middle
         k = 400
         g = deep_diamond_chain(k)
         walked = []
-        walk = searchinfo._walk_log2_probabilities
+        log_row = searchinfo._log_row
 
-        def counting_walk(graph, source, *args):
+        def counting_log_row(graph, source):
             walked.append(source)
-            return walk(graph, source, *args)
+            return log_row(graph, source)
 
-        monkeypatch.setattr(searchinfo, "_walk_log2_probabilities", counting_walk)
+        monkeypatch.setattr(searchinfo, "_log_row", counting_log_row)
         middle_leaf = g.adjacency[g.adjacency[k // 2][-1]][-1]
         sources = [0, k, k // 2, middle_leaf]
         for s in sources:
