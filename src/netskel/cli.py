@@ -40,6 +40,14 @@ def _emit_json(obj, out: IO[str]) -> None:
     out.write("\n")
 
 
+def _csv_field(text: str) -> str:
+    """text as one RFC 4180 field: quoted, with inner quotes doubled, when it
+    holds a comma or a quote."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit_csv(header: str, rows, out: IO[str]) -> None:
     out.write(header + "\n")
     for row in rows:
@@ -126,24 +134,35 @@ def _cmd_search_info(args, stdin, stdout) -> int:
         graph.require_connected(g)
         rows = searchinfo.search_information_rows(g)
         if args.format == "csv":  # one source row at a time: the N^2 pairs are never held
-            labels = g.labels
+            labels = [_csv_field(label) for label in g.labels]
             stdout.write("source_label,dest_label,bits\n")
             for s, row in enumerate(rows):
                 cells = (f"{labels[s]},{labels[d]},{b:.6g}\n" for d, b in enumerate(row) if d != s)
                 stdout.write("".join(cells))
             return EXIT_OK
-        rows = list(rows)  # total_bits precedes the pairs in the document
-        report = searchinfo.SearchInfoReport.from_rows(g, rows)
-    doc = {
-        "n": report.node_count,
-        "l": report.link_count,
-        "total_bits": report.total_bits,
-        "average_bits": report.average_bits,
-        "per_source_bits": list(report.per_source_bits),
-    }
+        # total_bits precedes the pairs in the document, so the pairs are
+        # held, but only once: each row is rounded as the totals consume it
+        pairs: list[list[float]] = []
+
+        def keep_rounded(rows):
+            for row in rows:
+                pairs.append([_round6(b) for b in row])
+                yield row
+
+        report = searchinfo.SearchInfoReport.from_rows(g, keep_rounded(rows))
+    doc = _roundtree(
+        {
+            "n": report.node_count,
+            "l": report.link_count,
+            "total_bits": report.total_bits,
+            "average_bits": report.average_bits,
+            "per_source_bits": report.per_source_bits,
+        }
+    )
     if args.pairs:
-        doc["pairs"] = rows
-    _emit_json(doc, stdout)
+        doc["pairs"] = pairs
+    json.dump(doc, stdout, indent=2)
+    stdout.write("\n")
     return EXIT_OK
 
 

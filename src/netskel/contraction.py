@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import NetskelError
 from .graph import Graph, Link, quotient_graph, require_connected
@@ -161,7 +162,11 @@ def simplified_search_information(s: SimplifiedNetwork) -> SimplifiedSearchInfo:
 
     Every super-node is a tree, so its H comes from the exact O(N) tree
     total; a tree of one or two nodes has no choices and needs no graph."""
-    h_skeleton = skeleton_bits(s.skeleton)
+    return _simplified_info(s, skeleton_bits(s.skeleton))
+
+
+def _simplified_info(s: SimplifiedNetwork, h_skeleton: float) -> SimplifiedSearchInfo:
+    """simplified_search_information given the skeleton's H."""
     h_super = [
         _tree_total_bits(supernode_tree(s.original, sn)) if len(sn.members) > 2 else 0.0
         for sn in s.supernodes
@@ -189,10 +194,22 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     best_info = worst_info = None
     best_trial = worst_trial = -1
     samples: list[ContractionSample] = []
+    # Few distinct skeletons recur over many trials, so each one's H is
+    # computed once. Super-nodes are numbered by their minimum member and
+    # links are sorted, so equal keys mean equal graphs. The links are
+    # packed into one ASCII string, so the memo does not keep their tuples
+    # alive (array or struct would load an extension module, which alone
+    # adds about 0.25 MiB of peak RSS).
+    skeleton_memo: dict[tuple[int, str], float] = {}
     for trial in range(trials):
         order = order_links_random(g, derive_seed(seed, trial))
         simp = _contract(g, order)
-        info = simplified_search_information(simp)
+        skeleton = simp.skeleton
+        key = (skeleton.node_count, " ".join(map(str, chain.from_iterable(skeleton.links))))
+        h_skeleton = skeleton_memo.get(key)
+        if h_skeleton is None:
+            h_skeleton = skeleton_memo[key] = skeleton_bits(skeleton)
+        info = _simplified_info(simp, h_skeleton)
         samples.append(
             ContractionSample(
                 trial=trial,

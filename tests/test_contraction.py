@@ -4,11 +4,14 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netskel as ns
-from netskel import searchinfo
+from netskel import contraction, searchinfo
 from netskel.errors import ConnectivityError, NetskelError
-from conftest import random_connected_graph, tree_with_chords
+from netskel.seeding import derive_seed
+from conftest import connected_graphs, random_connected_graph, tree_with_chords
 from oracle import reference_tree_contract
 
 
@@ -252,6 +255,55 @@ class TestMinimize:
         monkeypatch.setattr(searchinfo, "require_connected", lambda g: calls.append(g) or check(g))
         ns.minimize_h_simp(karate, 500, 42)
         assert calls == []
+
+
+class TestSkeletonMemo:
+    """minimize_h_simp computes each distinct skeleton's H once per call;
+    every trial must read exactly what an unmemoized trial computes."""
+
+    @staticmethod
+    def check_matches_unmemoized(g, trials, seed):
+        result = ns.minimize_h_simp(g, trials, seed)
+        simps = [
+            ns.tree_contract(g, ns.order_links_random(g, derive_seed(seed, t)))
+            for t in range(trials)
+        ]
+        infos = [ns.simplified_search_information(simp) for simp in simps]
+        assert result.samples == tuple(
+            ns.ContractionSample(
+                trial=t,
+                skeleton_nodes=simp.skeleton.node_count,
+                h_skeleton=info.h_skeleton,
+                h_supernodes=info.h_supernodes_total,
+                h_simp=info.h_simp,
+            )
+            for t, (simp, info) in enumerate(zip(simps, infos))
+        )
+        best = min(range(trials), key=lambda t: infos[t].h_simp)  # first of ties
+        worst = max(range(trials), key=lambda t: infos[t].h_simp)
+        assert (result.best_trial, result.worst_trial) == (best, worst)
+        assert (result.best, result.best_info) == (simps[best], infos[best])
+        assert (result.worst, result.worst_info) == (simps[worst], infos[worst])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(connected_graphs(), st.integers(0, 2**30))
+    def test_matches_unmemoized(self, g, seed):
+        self.check_matches_unmemoized(g, 8, seed)
+
+    def test_karate_matches_unmemoized(self, karate):
+        self.check_matches_unmemoized(karate, 500, 42)
+
+    def test_each_distinct_skeleton_computed_once(self, karate, monkeypatch):
+        calls = []
+        bits = contraction.skeleton_bits
+        monkeypatch.setattr(contraction, "skeleton_bits", lambda sk: calls.append(sk) or bits(sk))
+        ns.minimize_h_simp(karate, 500, 42)
+        distinct = set()
+        for t in range(500):
+            sk = ns.tree_contract(karate, ns.order_links_random(karate, derive_seed(42, t))).skeleton
+            distinct.add((sk.node_count, sk.links))
+        assert len(distinct) < 50  # skeletons repeat, so a memo that never hits shows
+        assert len(calls) == len(distinct)
 
 
 class TestScaling:
