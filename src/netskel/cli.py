@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from typing import IO, Optional, Sequence
 
@@ -144,12 +145,12 @@ def _cmd_search_info(args, stdin, stdout) -> int:
         # held, but only once: each row is rounded as the totals consume it
         pairs: list[list[float]] = []
 
-        def keep_rounded(rows):
+        def row_bits(rows):
             for row in rows:
                 pairs.append([_round6(b) for b in row])
-                yield row
+                yield math.fsum(row)
 
-        report = searchinfo.SearchInfoReport.from_rows(g, keep_rounded(rows))
+        report = searchinfo.SearchInfoReport.from_source_bits(g, row_bits(rows))
     doc = _roundtree(
         {
             "n": report.node_count,

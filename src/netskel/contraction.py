@@ -9,13 +9,15 @@ original graph's cyclomatic number.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable
 
 from .errors import NetskelError
-from .graph import Graph, Link, quotient_graph, require_connected
-from .searchinfo import SearchInfoReport, _tree_total_bits, search_information_rows
+from .graph import Graph, Link, _cross_links, _quotient, quotient_graph, require_connected
+from .searchinfo import _forest_total_bits, _source_bits
 from .seeding import derive_seed
 
 
@@ -87,11 +89,14 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
     require_connected(g)
     if sorted(order) != list(g.links):
         raise NetskelError("order must be a permutation of the graph's links")
-    return _contract(g, order)
+    return _network(g, *_merge(g, order))
 
 
-def _contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
-    """tree_contract on a connected graph and a permutation of its links."""
+def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link]]:
+    """The merge pass of tree_contract on a connected graph and a permutation
+    of its links: each node's super-node, the super-node count and the
+    accepted links in merge order. Super-nodes are numbered by their
+    minimum member."""
     parent = list(range(g.node_count))
 
     def find(x: int) -> int:
@@ -106,34 +111,42 @@ def _contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
         ru, rv = find(u), find(v)
         if ru == rv:
             continue
-        if len(neigh[ru]) < len(neigh[rv]):
-            ru, rv = rv, ru
         large, small = neigh[ru], neigh[rv]
-        if any(w in large for w in small if w != ru):
+        if len(large) < len(small):
+            ru, rv, large, small = rv, ru, small, large
+        # ru and rv are neighbors and neither is its own, so the sets meet
+        # exactly in the shared neighbors
+        if not large.isdisjoint(small):
             continue  # merge would create a multilink
         parent[rv] = ru
         large.discard(rv)
+        small.discard(ru)
         for w in small:
-            if w != ru:
-                neigh[w].discard(rv)
-                neigh[w].add(ru)
-                large.add(w)
+            nw = neigh[w]
+            nw.discard(rv)
+            nw.add(ru)
+        large |= small
         accepted.append((u, v))
 
-    # super-nodes are numbered by their minimum member
     index: dict[int, int] = {}
-    membership = tuple(index.setdefault(find(u), len(index)) for u in range(g.node_count))
-    members: list[list[int]] = [[] for _ in index]
+    membership = tuple([index.setdefault(find(u), len(index)) for u in range(g.node_count)])
+    return membership, len(index), accepted
+
+
+def _network(
+    g: Graph, membership: tuple[int, ...], group_count: int, accepted: list[Link]
+) -> SimplifiedNetwork:
+    """The SimplifiedNetwork of a _merge result."""
+    members: list[list[int]] = [[] for _ in range(group_count)]
     for node, grp in enumerate(membership):
         members[grp].append(node)
-    internal: list[list[Link]] = [[] for _ in index]
+    internal: list[list[Link]] = [[] for _ in range(group_count)]
     for link in sorted(accepted):
         internal[membership[link[0]]].append(link)
     supernodes = tuple(
         SuperNode(members=tuple(m), internal_links=tuple(links))
         for m, links in zip(members, internal)
     )
-
     return SimplifiedNetwork(
         original=g,
         skeleton=quotient_graph(g, membership),
@@ -151,26 +164,29 @@ def supernode_tree(g: Graph, sn: SuperNode) -> Graph:
 
 def skeleton_bits(skeleton: Graph) -> float:
     """Total search information of a skeleton (connected by construction, so not
-    re-checked); one super-node has no paths."""
-    if skeleton.node_count <= 1:
-        return 0.0
-    return SearchInfoReport.from_rows(skeleton, search_information_rows(skeleton)).total_bits
+    re-checked)."""
+    return math.fsum(_source_bits(skeleton, s) for s in range(skeleton.node_count))
+
+
+def _supernode_bits(node_count: int, internal_links: Iterable[Link]) -> list[float]:
+    """H of each super-node's tree, by super-node index: one pass over the forest
+    of internal links, whose trees come in order of minimum node as super-nodes do."""
+    forest: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in internal_links:
+        forest[u].append(v)
+        forest[v].append(u)
+    return _forest_total_bits(forest)
 
 
 def simplified_search_information(s: SimplifiedNetwork) -> SimplifiedSearchInfo:
-    """H_simp = H of the skeleton plus H of each super-node tree in isolation.
+    """H_simp = H of the skeleton plus H of each super-node tree in isolation,
+    from the exact O(N) tree total (every super-node is a tree)."""
+    internal = chain.from_iterable(sn.internal_links for sn in s.supernodes)
+    return _info(skeleton_bits(s.skeleton), _supernode_bits(s.original.node_count, internal))
 
-    Every super-node is a tree, so its H comes from the exact O(N) tree
-    total; a tree of one or two nodes has no choices and needs no graph."""
-    return _simplified_info(s, skeleton_bits(s.skeleton))
 
-
-def _simplified_info(s: SimplifiedNetwork, h_skeleton: float) -> SimplifiedSearchInfo:
-    """simplified_search_information given the skeleton's H."""
-    h_super = [
-        _tree_total_bits(supernode_tree(s.original, sn)) if len(sn.members) > 2 else 0.0
-        for sn in s.supernodes
-    ]
+def _info(h_skeleton: float, h_super: list[float]) -> SimplifiedSearchInfo:
+    """SimplifiedSearchInfo from the skeleton's H and each super-node's."""
     h_super_total = sum(h_super)
     return SimplifiedSearchInfo(
         h_skeleton=h_skeleton,
@@ -185,52 +201,51 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
 
     Trial i uses a seed derived from the master seed by counter, so the
     result is reproducible and trials could run in any order. Ties keep
-    the lowest trial index.
+    the lowest trial index. A trial merges, keys the memo below on its
+    cross-group links, builds a skeleton only on a memo miss and scores every
+    super-node in one forest pass; only the best and worst networks are built.
     """
     if trials < 1:
         raise NetskelError(f"trials must be positive, got {trials}")
     require_connected(g)
-    best = worst = None
-    best_info = worst_info = None
-    best_trial = worst_trial = -1
     samples: list[ContractionSample] = []
+    best = worst = None  # (trial, info, _merge result)
     # Few distinct skeletons recur over many trials, so each one's H is
     # computed once. Super-nodes are numbered by their minimum member and
-    # links are sorted, so equal keys mean equal graphs. The links are
+    # cross links are sorted, so equal keys mean equal graphs. The links are
     # packed into one ASCII string, so the memo does not keep their tuples
     # alive (array or struct would load an extension module, which alone
     # adds about 0.25 MiB of peak RSS).
     skeleton_memo: dict[tuple[int, str], float] = {}
     for trial in range(trials):
         order = order_links_random(g, derive_seed(seed, trial))
-        simp = _contract(g, order)
-        skeleton = simp.skeleton
-        key = (skeleton.node_count, " ".join(map(str, chain.from_iterable(skeleton.links))))
+        merged = membership, group_count, accepted = _merge(g, order)
+        cross = sorted(_cross_links(g, membership))
+        key = (group_count, " ".join(map(str, chain.from_iterable(cross))))
         h_skeleton = skeleton_memo.get(key)
         if h_skeleton is None:
-            h_skeleton = skeleton_memo[key] = skeleton_bits(skeleton)
-        info = _simplified_info(simp, h_skeleton)
+            h_skeleton = skeleton_memo[key] = skeleton_bits(_quotient(group_count, cross))
+        info = _info(h_skeleton, _supernode_bits(g.node_count, accepted))
         samples.append(
             ContractionSample(
                 trial=trial,
-                skeleton_nodes=simp.skeleton.node_count,
+                skeleton_nodes=group_count,
                 h_skeleton=info.h_skeleton,
                 h_supernodes=info.h_supernodes_total,
                 h_simp=info.h_simp,
             )
         )
-        if best_info is None or info.h_simp < best_info.h_simp:
-            best, best_info, best_trial = simp, info, trial
-        if worst_info is None or info.h_simp > worst_info.h_simp:
-            worst, worst_info, worst_trial = simp, info, trial
+        if best is None or info.h_simp < best[1].h_simp:
+            best = (trial, info, merged)
+        if worst is None or info.h_simp > worst[1].h_simp:
+            worst = (trial, info, merged)
     assert best is not None and worst is not None
-    assert best_info is not None and worst_info is not None
     return MinimizeResult(
-        best=best,
-        best_info=best_info,
-        best_trial=best_trial,
-        worst=worst,
-        worst_info=worst_info,
-        worst_trial=worst_trial,
+        best=_network(g, *best[2]),
+        best_info=best[1],
+        best_trial=best[0],
+        worst=_network(g, *worst[2]),
+        worst_info=worst[1],
+        worst_trial=worst[0],
         samples=tuple(samples),
     )

@@ -11,7 +11,7 @@ from typing import Optional
 from .errors import NetskelError
 from .estimator import PowerLawFit, fit_power_law
 from .graph import Graph, require_connected
-from .searchinfo import _tree_total_bits
+from .searchinfo import _forest_total_bits
 from .seeding import derive_seed
 
 
@@ -153,7 +153,7 @@ def tree_scaling_experiment(
         for _ in range(samples):
             tree = gen_random_tree(n, derive_seed(seed, counter))
             counter += 1
-            values.append(_tree_total_bits(tree))
+            values.append(_forest_total_bits(tree.adjacency)[0])
         mean = math.fsum(values) / samples
         var = math.fsum((v - mean) ** 2 for v in values) / samples
         rows.append(

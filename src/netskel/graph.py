@@ -188,12 +188,17 @@ def quotient_graph(g: Graph, membership: Sequence[int]) -> Graph:
         )
     if min(membership, default=0) < 0:
         raise ValidationError("group indices must be non-negative")
-    group_count = max(membership, default=-1) + 1
-    cross: set[Link] = set()
-    for u, v in g.links:
-        a, b = membership[u], membership[v]
-        if a != b:
-            cross.add(_normalize_link(a, b))
+    return _quotient(max(membership, default=-1) + 1, _cross_links(g, membership))
+
+
+def _cross_links(g: Graph, membership: Sequence[int]) -> set[Link]:
+    """The links between distinct groups as normalized group pairs, deduplicated."""
+    pairs = ((membership[u], membership[v]) for u, v in g.links)
+    return {(a, b) if a < b else (b, a) for a, b in pairs if a != b}
+
+
+def _quotient(group_count: int, cross: Iterable[Link]) -> Graph:
+    """quotient_graph given its group count and _cross_links."""
     return Graph._trusted(group_count, cross, tuple(f"s{i}" for i in range(group_count)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
@@ -38,9 +38,9 @@ class SearchInfoReport:
     average_bits: float
 
     @classmethod
-    def from_rows(cls, g: Graph, rows: Iterable[Sequence[float]]) -> SearchInfoReport:
-        """The report of g built from its search_information_rows."""
-        per_source = tuple(map(math.fsum, rows))
+    def from_source_bits(cls, g: Graph, per_source_bits: Iterable[float]) -> SearchInfoReport:
+        """The report of g given each source's bits in index order."""
+        per_source = tuple(per_source_bits)
         total = math.fsum(per_source)
         n = g.node_count
         return cls(n, g.link_count, per_source, total, total / (n * n))
@@ -80,16 +80,15 @@ def _log_row(g: Graph, source: int) -> list[float]:
     return [0.0 - x for x in la]
 
 
-def _source_row(g: Graph, source: int) -> list[float]:
-    """H(source->d) in bits for every node d: 0.0 at the source, inf where
-    d is unreachable.
+def _walk(g: Graph, source: int) -> Optional[list[float]]:
+    """The probability A(d) that the walker from source reaches each node d
+    along a shortest path (0.0 if unreachable), or None if A underflows.
 
-    One BFS that pushes the walker probability forward as it pops each
-    node u: A(v) is 1/k_s on the first hop, and every v one hop further
-    than u gains A(u)/(k_u - 1). Predecessors are popped before v, in the
-    order a separate DAG pass would sum them, so A(u) is complete when u
-    is popped. If it has fallen below UNDERFLOW_THRESHOLD, the source is
-    redone in log space by _log_row.
+    One BFS that pushes A forward as it pops each node u: A(v) is 1/k_s
+    on the first hop, and every v one hop further than u gains
+    A(u)/(k_u - 1). Predecessors are popped before v, in the order a
+    separate DAG pass would sum them, so A(u) is complete when u is
+    popped; if it is below UNDERFLOW_THRESHOLD, the walk gives up.
     """
     adjacency, degrees = g.adjacency, g.degrees
     dist = [UNREACHABLE] * g.node_count
@@ -103,7 +102,7 @@ def _source_row(g: Graph, source: int) -> list[float]:
     for u in order:
         au = a[u]
         if au < UNDERFLOW_THRESHOLD:
-            return _log_row(g, source)
+            return None
         k = degrees[u]
         if k == 1:  # a leaf's one neighbor is its predecessor
             continue
@@ -117,8 +116,27 @@ def _source_row(g: Graph, source: int) -> list[float]:
                 order.append(v)
             elif dv == du:
                 a[v] += w
+    return a
+
+
+def _source_row(g: Graph, source: int) -> list[float]:
+    """H(source->d) in bits for every node d: 0.0 at the source, inf where
+    d is unreachable; -log2 of _walk, or _log_row where the walk underflows."""
+    a = _walk(g, source)
+    if a is None:
+        return _log_row(g, source)
     log2, inf = math.log2, math.inf
     return [0.0 - log2(x) if x else inf for x in a]
+
+
+def _source_bits(g: Graph, source: int) -> float:
+    """fsum of _source_row on a connected graph, bit for bit, without the
+    row: fsum rounds correctly and rounding is symmetric, so negating the
+    sum of log2 A equals summing the negated terms."""
+    a = _walk(g, source)
+    if a is None:
+        return math.fsum(_log_row(g, source))
+    return 0.0 - math.fsum(map(math.log2, a))
 
 
 def search_information_rows(g: Graph) -> Iterator[list[float]]:
@@ -144,44 +162,52 @@ def pair_search_information(g: Graph, s: int, d: int) -> float:
 def total_search_information(g: Graph) -> SearchInfoReport:
     """Sum of H(s->d) over all ordered pairs of a connected graph."""
     require_connected(g)
-    return SearchInfoReport.from_rows(g, search_information_rows(g))
+    return SearchInfoReport.from_source_bits(g, (_source_bits(g, s) for s in range(g.node_count)))
 
 
-def _tree_total_bits(g: Graph) -> float:
-    """Exact total search information of a tree in O(N); g must be a tree.
+def _forest_total_bits(adjacency: Sequence[Sequence[int]]) -> list[float]:
+    """Exact total search information of each tree of a forest in O(N), in
+    order of the trees' smallest nodes.
 
-    Every pair of a tree has one path, so H = sum_s (N-1)*log2(k_s) +
-    sum_j log2(k_j - 1) * ((N-1)^2 - sum_b n_b^2), where the n_b are the
-    sizes of the branches at j: the second factor counts the ordered
-    pairs whose path passes through j. Branch sizes come from one
-    iterative subtree-size pass, so deep trees need no recursion.
+    Every pair of a tree of n nodes has one path, so H = sum_s (n-1)*log2(k_s)
+    + sum_j log2(k_j - 1) * ((n-1)^2 - sum_b n_b^2), where the n_b are the
+    sizes of the branches at j: the second factor counts the ordered pairs
+    whose path passes through j. Branch sizes do not depend on the root and
+    fsum does not depend on the order of its terms, so any root gives the
+    same bits. Subtree sizes come from one iterative pass, so deep trees
+    need no recursion.
     """
-    n = g.node_count
-    if n <= 2:
-        return 0.0
-    parent = [-1] * n
-    order = [0]
-    for u in order:
-        for v in g.adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    # sum of squared branch sizes at each node: the branch through its
-    # parent, then one branch per child
-    branch_sq = [(n - size[v]) ** 2 for v in range(n)]
-    for v in order[1:]:
-        branch_sq[parent[v]] += size[v] ** 2
-    pairs = (n - 1) ** 2
+    node_count = len(adjacency)
+    parent = [-1] * node_count  # a root is its own parent
+    size = [1] * node_count
+    child_sq = [0] * node_count  # sum of squared child subtree sizes
     log2 = math.log2
-    terms = []
-    for v, k in enumerate(g.degrees):
-        terms.append((n - 1) * log2(k))
-        if k > 2:
-            terms.append(log2(k - 1) * (pairs - branch_sq[v]))
-    return math.fsum(terms)
+    totals = []
+    for root in range(node_count):
+        if parent[root] >= 0:
+            continue
+        parent[root] = root
+        order = [root]
+        for u in order:
+            pu = parent[u]
+            for v in adjacency[u]:
+                if v != pu:
+                    parent[v] = u
+                    order.append(v)
+        for v in order[:0:-1]:
+            size[parent[v]] += size[v]
+            child_sq[parent[v]] += size[v] ** 2
+        n = len(order)
+        pairs = (n - 1) ** 2
+        terms = []
+        for v in order:
+            k = len(adjacency[v])
+            if k > 1:  # a leaf's term (n-1)*log2(1) is 0
+                terms.append((n - 1) * log2(k))
+            if k > 2:  # the branch through v's parent, then one per child
+                terms.append(log2(k - 1) * (pairs - (n - size[v]) ** 2 - child_sq[v]))
+        totals.append(math.fsum(terms))
+    return totals
 
 
 def chain_search_information(n: int) -> float:

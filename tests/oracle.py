@@ -13,6 +13,10 @@ DP over them) that the library's fused single-pass kernel replaced; the
 fused rows must equal it bit for bit, and the library's one-pass
 log-space redo must equal its ``_walk_log2_probabilities``. Its ``_bfs``
 is the only predecessor-list BFS in the repository.
+``reference_tree_total_bits`` is the one-tree O(N) total that super-node H
+was computed with, one standalone ``supernode_tree`` graph per super-node
+(``reference_supernode_bits``), before the library scored every super-node
+in one pass over the forest of internal links; the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import random
 from collections import deque
 
+from netskel.contraction import SimplifiedNetwork, supernode_tree
 from netskel.graph import Graph, Link
 
 UNREACHABLE = -1
@@ -255,3 +260,44 @@ def _source_log2_probabilities(
 def reference_source_log2_probabilities(g: Graph, source: int) -> list[float]:
     """log2 A(v) for every node of a connected graph, by BFS then DP."""
     return _source_log2_probabilities(g, source, *_bfs(g, source))
+
+
+def reference_tree_total_bits(g: Graph) -> float:
+    """Exact total search information of a tree in O(N); g must be a tree.
+
+    Every pair of a tree has one path, so H = sum_s (N-1)*log2(k_s) +
+    sum_j log2(k_j - 1) * ((N-1)^2 - sum_b n_b^2), where the n_b are the
+    sizes of the branches at j, from one subtree-size pass rooted at node 0.
+    """
+    n = g.node_count
+    if n <= 2:
+        return 0.0
+    parent = [-1] * n
+    order = [0]
+    for u in order:
+        for v in g.adjacency[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    branch_sq = [(n - size[v]) ** 2 for v in range(n)]
+    for v in order[1:]:
+        branch_sq[parent[v]] += size[v] ** 2
+    pairs = (n - 1) ** 2
+    log2 = math.log2
+    terms = []
+    for v, k in enumerate(g.degrees):
+        terms.append((n - 1) * log2(k))
+        if k > 2:
+            terms.append(log2(k - 1) * (pairs - branch_sq[v]))
+    return math.fsum(terms)
+
+
+def reference_supernode_bits(s: SimplifiedNetwork) -> list[float]:
+    """H of each super-node, its tree built as a standalone graph."""
+    return [
+        reference_tree_total_bits(supernode_tree(s.original, sn)) if len(sn.members) > 2 else 0.0
+        for sn in s.supernodes
+    ]

@@ -2,17 +2,18 @@ import gc
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netskel as ns
-from netskel import contraction, searchinfo
+from netskel import contraction, graph, searchinfo
 from netskel.errors import ConnectivityError, NetskelError
 from netskel.seeding import derive_seed
 from conftest import connected_graphs, random_connected_graph, tree_with_chords
-from oracle import reference_tree_contract
+from oracle import reference_supernode_bits, reference_tree_contract, reference_tree_total_bits
 
 
 def star(n):
@@ -206,6 +207,78 @@ class TestSimplifiedSearchInfo:
         info = ns.simplified_search_information(simp)
         assert info.h_simp == pytest.approx(info.h_skeleton + info.h_supernodes_total)
         assert info.h_supernodes_total == pytest.approx(sum(info.h_supernodes))
+
+
+def hexes(values) -> list[str]:
+    return [float.hex(x) for x in values]
+
+
+@st.composite
+def forest_corpus(draw) -> ns.Graph:
+    """connected_graphs (stars among them) and chains."""
+    if draw(st.booleans()):
+        return ns.gen_chain(draw(st.integers(1, 120)))
+    return draw(connected_graphs())
+
+
+class TestForestPassMatchesReference:
+    """Super-node H from one pass over the forest of internal links against
+    one standalone tree graph per super-node (``tests/oracle.py``), bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(forest_corpus(), st.integers(0, 2**30))
+    def test_every_supernode_bitwise(self, g, seed):
+        simp = ns.tree_contract(g, ns.order_links_random(g, seed))
+        info = ns.simplified_search_information(simp)
+        assert hexes(info.h_supernodes) == hexes(reference_supernode_bits(simp))
+        result = ns.minimize_h_simp(g, 3, seed)
+        for net, net_info in ((result.best, result.best_info), (result.worst, result.worst_info)):
+            assert hexes(net_info.h_supernodes) == hexes(reference_supernode_bits(net))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**30))
+    def test_single_tree_bitwise(self, n, seed):
+        tree = ns.gen_random_tree(n, seed)
+        (bits,) = searchinfo._forest_total_bits(tree.adjacency)
+        assert float.hex(bits) == float.hex(reference_tree_total_bits(tree))
+
+
+class TestTrialCost:
+    def test_trials_build_no_graph_or_network(self, karate, monkeypatch):
+        """minimize builds a skeleton graph only for a skeleton it has not
+        seen, and a SimplifiedNetwork (with its quotient graph) only for the
+        best and the worst trial. Every Graph is built by Graph._trusted,
+        quotient graphs and super-node trees included."""
+        trials, seed = 500, 42
+        distinct = {
+            ns.tree_contract(karate, ns.order_links_random(karate, derive_seed(seed, t))).skeleton
+            for t in range(trials)
+        }
+        counts = Counter()
+        trusted = ns.Graph._trusted.__func__
+        quotient = graph.quotient_graph
+        network_init = contraction.SimplifiedNetwork.__init__
+
+        def counting_trusted(cls, *args, **kwargs):
+            counts["graph"] += 1
+            return trusted(cls, *args, **kwargs)
+
+        def counting_quotient(*args):
+            counts["quotient"] += 1
+            return quotient(*args)
+
+        def counting_network_init(self, *args, **kwargs):
+            counts["network"] += 1
+            network_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ns.Graph, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(graph, "quotient_graph", counting_quotient)
+        monkeypatch.setattr(contraction, "quotient_graph", counting_quotient)
+        monkeypatch.setattr(contraction.SimplifiedNetwork, "__init__", counting_network_init)
+        ns.minimize_h_simp(karate, trials, seed)
+        assert counts["network"] <= 2
+        assert counts["quotient"] <= 2
+        assert counts["graph"] <= len(distinct) + 2
 
 
 class TestMinimize:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 import netskel as ns
 from netskel import searchinfo
 from netskel.errors import ConnectivityError, NetskelError, UnreachableError
-from netskel.searchinfo import _tree_total_bits
 from conftest import connected_graphs, random_connected_graph
 import oracle
 from oracle import (
@@ -33,6 +32,12 @@ def deep_diamond_chain(k: int = 400, p: int = 6) -> ns.Graph:
 def reference_row(g: ns.Graph, s: int) -> list[float]:
     """The pair bits of the two-pass kernel: -log2 A, with 0.0 for -0.0."""
     return [-x if x != 0.0 else 0.0 for x in reference_source_log2_probabilities(g, s)]
+
+
+def tree_total(g: ns.Graph) -> float:
+    """The forest pass on a single tree."""
+    (bits,) = searchinfo._forest_total_bits(g.adjacency)
+    return bits
 
 
 def hexes(row) -> list[str]:
@@ -204,6 +209,33 @@ class TestFusedKernelMatchesReference:
         assert walked == [0, k]
 
 
+class TestSourceBitsWithoutRows:
+    """Per-source totals from the walk's probabilities equal the fsum of the
+    row of pair bits, bit for bit."""
+
+    @staticmethod
+    def assert_bits_match_rows(g, sources):
+        for s in sources:
+            want = math.fsum(searchinfo._source_row(g, s))
+            assert float.hex(searchinfo._source_bits(g, s)) == float.hex(want)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_corpus_bitwise(self, g):
+        self.assert_bits_match_rows(g, range(g.node_count))
+
+    def test_log_space_fallback_bitwise(self):
+        k = 400
+        g = deep_diamond_chain(k)
+        assert searchinfo._walk(g, 0) is None and searchinfo._walk(g, k) is None
+        self.assert_bits_match_rows(g, [0, k, k // 2])
+
+    def test_report_per_source_equals_row_sums(self, karate):
+        report = ns.total_search_information(karate)
+        rows = ns.search_information_rows(karate)
+        assert report.per_source_bits == tuple(map(math.fsum, rows))
+
+
 class TestTreeTotal:
     """The O(N) tree total against the DAG DP and the brute-force oracle."""
 
@@ -216,26 +248,26 @@ class TestTreeTotal:
             for n in range(1, 121):
                 tree = ns.gen_random_tree(n, seed * 1000 + n)
                 want = ns.total_search_information(tree).total_bits
-                assert _tree_total_bits(tree) == pytest.approx(want, abs=1e-9)
+                assert tree_total(tree) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 57, 200])
     def test_stars_match_dag_dp(self, n):
         g = self.star(n)
         want = ns.total_search_information(g).total_bits
-        assert _tree_total_bits(g) == pytest.approx(want, abs=1e-9)
+        assert tree_total(g) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 99, 300])
     def test_chains_equal_closed_form(self, n):
         g = ns.gen_chain(n)
-        assert _tree_total_bits(g) == (n - 2) * (n - 1)
+        assert tree_total(g) == (n - 2) * (n - 1)
         want = ns.total_search_information(g).total_bits
-        assert _tree_total_bits(g) == pytest.approx(want, abs=1e-9)
+        assert tree_total(g) == pytest.approx(want, abs=1e-9)
 
     def test_small_trees_match_oracle(self):
         for seed in range(20):
             for n in range(1, 9):
                 tree = ns.gen_random_tree(n, seed * 100 + n)
-                assert _tree_total_bits(tree) == pytest.approx(
+                assert tree_total(tree) == pytest.approx(
                     brute_force_total_bits(tree), abs=1e-9
                 )
 
