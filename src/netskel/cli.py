@@ -207,17 +207,17 @@ def _cmd_minimize(args, stdin, stdout) -> int:
 def _cmd_estimate(args, stdin, stdout) -> int:
     g = _read_graph(args.input, stdin)
     constants = _parse_constants(args.constants)
-    simp = contraction.tree_contract(g, contraction.order_links_degree(g))
+    graph.require_connected(g)
+    # only the skeleton is read, so no SimplifiedNetwork is built
+    membership, group_count, _ = contraction._merge(g, contraction.order_links_degree(g))
+    skeleton = graph._quotient(group_count, graph._cross_links(g, membership))
     est = estimator.skeleton_estimate(
-        contraction.skeleton_bits(simp.skeleton),
-        simp.skeleton.node_count,
-        g.node_count,
-        constants,
+        contraction.skeleton_bits(skeleton), group_count, g.node_count, constants
     )
     _emit_json(
         {
             "n_original": g.node_count,
-            "n_skeleton": simp.skeleton.node_count,
+            "n_skeleton": group_count,
             "h_skeleton": est.h_skeleton,
             "ratio": est.ratio,
             "estimate_bits": est.estimate_bits,

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import NetskelError
 from .graph import Graph, Link, _cross_links, _quotient, quotient_graph, require_connected
-from .searchinfo import _forest_total_bits, _source_bits
+from .searchinfo import _all_source_bits, _forest_total_bits
 from .seeding import derive_seed
 
 
@@ -155,17 +155,10 @@ def _network(
     )
 
 
-def supernode_tree(g: Graph, sn: SuperNode) -> Graph:
-    """The internal tree of a super-node as a standalone graph."""
-    local = {node: i for i, node in enumerate(sn.members)}
-    links = [(local[u], local[v]) for u, v in sn.internal_links]
-    return Graph._trusted(len(sn.members), links, tuple(g.labels[m] for m in sn.members))
-
-
 def skeleton_bits(skeleton: Graph) -> float:
     """Total search information of a skeleton (connected by construction, so not
     re-checked)."""
-    return math.fsum(_source_bits(skeleton, s) for s in range(skeleton.node_count))
+    return math.fsum(_all_source_bits(skeleton))
 
 
 def _supernode_bits(node_count: int, internal_links: Iterable[Link]) -> list[float]:

@@ -11,8 +11,10 @@ never by path enumeration.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
@@ -22,6 +24,11 @@ UNREACHABLE = -1
 # Below this probability the per-source DP switches to log-space
 # accumulation; plain products would denormalize/underflow.
 UNDERFLOW_THRESHOLD = 1e-300
+
+# The share of N*L below which a forked worker costs more than it saves:
+# walking all sources costs about N*L, and on a 2-CPU machine two workers
+# broke even at N*L of 3e5 to 5e5 (the sweep in BENCH_11.json).
+FORK_BREAK_EVEN_WORK = 250_000
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,81 @@ def _source_bits(g: Graph, source: int) -> float:
     return 0.0 - math.fsum(map(math.log2, a))
 
 
+def _worker_count(g: Graph) -> int:
+    """The number of processes to walk g's sources in: one per CPU this
+    process may run on, but none with less than FORK_BREAK_EVEN_WORK of the
+    N*L. Below 2, they are walked here alone; so too where the platform
+    cannot fork, or where another thread is live, since a forked child keeps
+    only the calling thread and any lock another one holds stays locked."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not can_fork or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), g.node_count * g.link_count // FORK_BREAK_EVEN_WORK)
+
+
+def _walk_share(g: Graph, sources: range, write_end: int) -> NoReturn:
+    """In a forked child: send the float.hex of _source_bits for each source
+    over the pipe and leave with status 0, or 1 on any failure, without
+    running the parent's exit handlers or flushing its buffers."""
+    status = 1
+    try:
+        with open(write_end, "wb") as pipe:
+            pipe.write(" ".join(float.hex(_source_bits(g, s)) for s in sources).encode("ascii"))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _all_source_bits(g: Graph) -> list[float]:
+    """_source_bits of every source of a connected graph, in index order.
+
+    With k > 1 workers (_worker_count), children forked here walk the
+    sources i, i+k, i+2k, ... for i = 1..k-1 and send their bits back over a
+    pipe as float.hex text, which round-trips exactly, while this process
+    walks 0, k, 2k, ...; the list is the serial one bit for bit. The share
+    of a child that cannot be forked, exits nonzero or sends too few values
+    is walked here. Every child is reaped before this returns or raises.
+    """
+    n = g.node_count
+    step = _worker_count(g)
+    if step < 2:
+        return [_source_bits(g, s) for s in range(n)]
+    children = []  # (pid, read end of its pipe, its sources)
+    local = [range(0, n, step)]  # the shares walked in this process
+    try:
+        for first in range(1, step):
+            sources = range(first, n, step)
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                local.append(sources)
+                continue
+            if pid == 0:
+                os.close(read_end)  # so that a write with no reader left fails
+                _walk_share(g, sources, write_end)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb"), sources))
+        bits = [0.0] * n
+        for sources in local:
+            for s in sources:
+                bits[s] = _source_bits(g, s)
+        texts = [pipe.read().decode("ascii").split() for _, pipe, _ in children]
+    finally:
+        for _, pipe, _ in children:
+            pipe.close()  # a child still writing gets EPIPE and exits
+        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+    for (_, _, sources), text, status in zip(children, texts, statuses):
+        if status == 0 and len(text) == len(sources):
+            bits[sources.start :: step] = map(float.fromhex, text)
+        else:
+            for s in sources:
+                bits[s] = _source_bits(g, s)
+    return bits
+
+
 def search_information_rows(g: Graph) -> Iterator[list[float]]:
     """For each source s in index order, the row of H(s->d) in bits over
     every d: 0.0 at d = s, inf where d is unreachable from s. The rows are
@@ -162,7 +244,7 @@ def pair_search_information(g: Graph, s: int, d: int) -> float:
 def total_search_information(g: Graph) -> SearchInfoReport:
     """Sum of H(s->d) over all ordered pairs of a connected graph."""
     require_connected(g)
-    return SearchInfoReport.from_source_bits(g, (_source_bits(g, s) for s in range(g.node_count)))
+    return SearchInfoReport.from_source_bits(g, _all_source_bits(g))
 
 
 def _forest_total_bits(adjacency: Sequence[Sequence[int]]) -> list[float]:

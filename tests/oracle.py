@@ -25,7 +25,7 @@ import math
 import random
 from collections import deque
 
-from netskel.contraction import SimplifiedNetwork, supernode_tree
+from netskel.contraction import SimplifiedNetwork, SuperNode
 from netskel.graph import Graph, Link
 
 UNREACHABLE = -1
@@ -293,6 +293,13 @@ def reference_tree_total_bits(g: Graph) -> float:
         if k > 2:
             terms.append(log2(k - 1) * (pairs - branch_sq[v]))
     return math.fsum(terms)
+
+
+def supernode_tree(g: Graph, sn: SuperNode) -> Graph:
+    """The internal tree of a super-node as a standalone graph."""
+    local = {node: i for i, node in enumerate(sn.members)}
+    links = [(local[u], local[v]) for u, v in sn.internal_links]
+    return Graph._trusted(len(sn.members), links, tuple(g.labels[m] for m in sn.members))
 
 
 def reference_supernode_bits(s: SimplifiedNetwork) -> list[float]:

@@ -13,7 +13,12 @@ from netskel import contraction, graph, searchinfo
 from netskel.errors import ConnectivityError, NetskelError
 from netskel.seeding import derive_seed
 from conftest import connected_graphs, random_connected_graph, tree_with_chords
-from oracle import reference_supernode_bits, reference_tree_contract, reference_tree_total_bits
+from oracle import (
+    reference_supernode_bits,
+    reference_tree_contract,
+    reference_tree_total_bits,
+    supernode_tree,
+)
 
 
 def star(n):
@@ -41,7 +46,7 @@ def check_simplified_invariants(g, simp):
         assert all(simp.membership[m] == i for m in sn.members)
         # internal links form a spanning tree of the members
         assert len(sn.internal_links) == len(sn.members) - 1
-        tree = ns.supernode_tree(g, sn)
+        tree = supernode_tree(g, sn)
         assert ns.is_connected(tree)
     # link bookkeeping and cyclomatic conservation
     internal = sum(len(sn.internal_links) for sn in simp.supernodes)
@@ -199,7 +204,7 @@ class TestSimplifiedSearchInfo:
                 simp = ns.tree_contract(g, ns.order_links_random(g, trial))
                 info = ns.simplified_search_information(simp)
                 for sn, bits in zip(simp.supernodes, info.h_supernodes):
-                    dp = ns.total_search_information(ns.supernode_tree(g, sn)).total_bits
+                    dp = ns.total_search_information(supernode_tree(g, sn)).total_bits
                     assert bits == pytest.approx(dp, rel=0, abs=1e-9)
 
     def test_h_simp_is_sum(self, karate):

@@ -3,8 +3,9 @@
 The benchmark checks these digests only when it runs. Here the same
 inputs are generated with ``bench/workloads.py`` (loaded from its file,
 so ``bench/`` is neither edited nor put on ``sys.path``) and the
-minimize, contract and estimate commands run in-process through
-``cli.run``.
+search-info, minimize, contract and estimate commands run in-process
+through ``cli.run``. The N=1000 ``search-info`` and the ``estimate``
+skeleton are large enough for the forked search-information workers.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from netskel import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PINNED = json.loads((BENCH / "pinned_digests.json").read_text(encoding="utf-8"))
 COMMANDS = {
+    "allpairs-er": ("search-info", "search-info-pairs"),
     "minimize-small": ("minimize-karate", "minimize-chords-csv"),
     "sparse-large": ("estimate", "contract"),
 }

@@ -1,5 +1,11 @@
+import contextlib
+import errno
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +240,154 @@ class TestSourceBitsWithoutRows:
         report = ns.total_search_information(karate)
         rows = ns.search_information_rows(karate)
         assert report.per_source_bits == tuple(map(math.fsum, rows))
+
+
+@contextlib.contextmanager
+def forking(cpus: int = 3):
+    """Within the block every graph with a link is walked by cpus - 1 forked
+    children and this process, whatever the machine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(searchinfo, "FORK_BREAK_EVEN_WORK", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        yield mp
+
+
+def serial_bits(g: ns.Graph) -> list[float]:
+    return [searchinfo._source_bits(g, s) for s in range(g.node_count)]
+
+
+class TestForkedWorkers:
+    """_all_source_bits spread over forked children equals the serial list
+    bit for bit, recovers every lost share and leaves no child behind."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_corpus_bitwise(self, g):
+        forks = []
+        fork = os.fork
+        with forking() as mp:
+            mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+            bits = searchinfo._all_source_bits(g)
+        assert len(forks) == 2
+        assert hexes(bits) == hexes(serial_bits(g))
+        self.assert_no_child_left()
+
+    def test_log_space_redo_in_children_bitwise(self, monkeypatch):
+        # a raised threshold makes the walks from both ends of a short chain
+        # give up, so every child's share redoes some sources in log space
+        monkeypatch.setattr(searchinfo, "UNDERFLOW_THRESHOLD", 2.0**-95)
+        g = deep_diamond_chain(31)
+        redone = [s for s in range(g.node_count) if searchinfo._walk(g, s) is None]
+        assert {s % 3 for s in redone} == {0, 1, 2}
+        with forking():
+            bits = searchinfo._all_source_bits(g)
+        assert hexes(bits) == hexes(serial_bits(g))
+
+    @pytest.mark.parametrize("failure", ["raises", "sends nothing", "fork fails"])
+    def test_lost_share_is_walked_here(self, failure, karate):
+        parent = os.getpid()
+        source_bits = searchinfo._source_bits
+
+        def raising_in_children(g, s):
+            if os.getpid() != parent:
+                raise RuntimeError("walker failed")
+            return source_bits(g, s)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        with forking() as mp:
+            if failure == "raises":
+                mp.setattr(searchinfo, "_source_bits", raising_in_children)
+            elif failure == "sends nothing":
+                mp.setattr(searchinfo, "_walk_share", lambda g, sources, write_end: os._exit(0))
+            else:
+                mp.setattr(os, "fork", no_fork)
+            bits = searchinfo._all_source_bits(karate)
+        assert hexes(bits) == hexes(serial_bits(karate))
+        self.assert_no_child_left()
+
+    def test_no_fork_beside_another_thread(self, karate):
+        def refuse():
+            raise AssertionError("forked beside a live thread")
+
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            with forking() as mp:
+                mp.setattr(os, "fork", refuse)
+                bits = searchinfo._all_source_bits(karate)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert hexes(bits) == hexes(serial_bits(karate))
+
+    def test_worker_count_from_cpus_and_work(self, monkeypatch):
+        # an n-ring has N*L = n^2, just above k times the break-even work
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        work = searchinfo.FORK_BREAK_EVEN_WORK
+        rings = [ns.gen_ring(math.isqrt(k * work) + 1) for k in range(1, 6)]
+        assert [searchinfo._worker_count(g) for g in rings] == [1, 2, 3, 4, 4]
+
+    @staticmethod
+    def run_forking(script: str, *argv: str) -> list[str]:
+        """The words script prints, run in a fresh interpreter where every
+        graph with a link forks one walker; it must finish within 60 s."""
+        prelude = (
+            "import io, os, sys\n"
+            "from netskel import cli, gen_chain, searchinfo\n"
+            "searchinfo.FORK_BREAK_EVEN_WORK = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        )
+        src = os.path.dirname(os.path.dirname(ns.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", prelude + script, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_forked_cli_loads_no_process_pool(self, tmp_path):
+        edges = tmp_path / "er.edges"
+        edges.write_text(ns.write_edge_list(random_connected_graph(40, 0.25, 5)), encoding="utf-8")
+        script = (
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            "code = cli.run(['search-info', sys.argv[1]], io.StringIO(), io.StringIO(), sys.stderr)\n"
+            "print(code, len(forks), 'multiprocessing' in sys.modules)\n"
+        )
+        assert self.run_forking(script, str(edges)) == ["0", "1", "False"]
+
+    def test_parent_failure_reaps_a_child_blocked_on_its_pipe(self):
+        # the child's share of 10,000 values overfills its pipe, so it can
+        # only leave once the failed parent closes the read end
+        script = (
+            "parent = os.getpid()\n"
+            "def source_bits(g, s):\n"
+            "    if os.getpid() == parent:\n"
+            "        raise RuntimeError('parent failed')\n"
+            "    return 1.0\n"
+            "searchinfo._source_bits = source_bits\n"
+            "try:\n"
+            "    searchinfo._all_source_bits(gen_chain(20000))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc.args[0].replace(' ', '-'))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('reaped')\n"
+        )
+        assert self.run_forking(script) == ["parent-failed", "reaped"]
 
 
 class TestTreeTotal:
