@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Iterable
 
 from .errors import NetskelError
-from .graph import Graph, Link, _cross_links, _quotient, quotient_graph, require_connected
+from .graph import Graph, Link, require_connected
 from .searchinfo import _all_source_bits, _forest_total_bits
 from .seeding import derive_seed
 
@@ -92,11 +92,18 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
     return _network(g, *_merge(g, order))
 
 
-def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link]]:
+def degree_skeleton(g: Graph) -> Graph:
+    """The skeleton of tree_contract in degree order, without its super-nodes."""
+    require_connected(g)
+    _, group_count, _, links = _merge(g, order_links_degree(g))
+    return _skeleton(group_count, links)
+
+
+def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link], list[Link]]:
     """The merge pass of tree_contract on a connected graph and a permutation
-    of its links: each node's super-node, the super-node count and the
-    accepted links in merge order. Super-nodes are numbered by their
-    minimum member."""
+    of its links: each node's super-node, the super-node count, the
+    accepted links in merge order and the skeleton's links, sorted.
+    Super-nodes are numbered by their minimum member."""
     parent = list(range(g.node_count))
 
     def find(x: int) -> int:
@@ -130,11 +137,22 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
 
     index: dict[int, int] = {}
     membership = tuple([index.setdefault(find(u), len(index)) for u in range(g.node_count)])
-    return membership, len(index), accepted
+    # a live root's neighbors are live roots: the skeleton's adjacency
+    links = sorted((i, index[w]) for r, i in index.items() for w in neigh[r] if i < index[w])
+    return membership, len(index), accepted, links
+
+
+def _skeleton(group_count: int, links: list[Link]) -> Graph:
+    """The skeleton graph over super-nodes labelled s0, s1, ... from _merge's links."""
+    return Graph._trusted(group_count, links, tuple(f"s{i}" for i in range(group_count)))
 
 
 def _network(
-    g: Graph, membership: tuple[int, ...], group_count: int, accepted: list[Link]
+    g: Graph,
+    membership: tuple[int, ...],
+    group_count: int,
+    accepted: list[Link],
+    links: list[Link],
 ) -> SimplifiedNetwork:
     """The SimplifiedNetwork of a _merge result."""
     members: list[list[int]] = [[] for _ in range(group_count)]
@@ -149,7 +167,7 @@ def _network(
     )
     return SimplifiedNetwork(
         original=g,
-        skeleton=quotient_graph(g, membership),
+        skeleton=_skeleton(group_count, links),
         supernodes=supernodes,
         membership=membership,
     )
@@ -194,9 +212,10 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
 
     Trial i uses a seed derived from the master seed by counter, so the
     result is reproducible and trials could run in any order. Ties keep
-    the lowest trial index. A trial merges, keys the memo below on its
-    cross-group links, builds a skeleton only on a memo miss and scores every
-    super-node in one forest pass; only the best and worst networks are built.
+    the lowest trial index. A trial merges, keys the memo below on the
+    skeleton links of the merge, builds a skeleton only on a memo miss and
+    scores every super-node in one forest pass; only the best and worst
+    networks are built.
     """
     if trials < 1:
         raise NetskelError(f"trials must be positive, got {trials}")
@@ -205,19 +224,18 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     best = worst = None  # (trial, info, _merge result)
     # Few distinct skeletons recur over many trials, so each one's H is
     # computed once. Super-nodes are numbered by their minimum member and
-    # cross links are sorted, so equal keys mean equal graphs. The links are
+    # skeleton links are sorted, so equal keys mean equal graphs. The links are
     # packed into one ASCII string, so the memo does not keep their tuples
     # alive (array or struct would load an extension module, which alone
     # adds about 0.25 MiB of peak RSS).
     skeleton_memo: dict[tuple[int, str], float] = {}
     for trial in range(trials):
         order = order_links_random(g, derive_seed(seed, trial))
-        merged = membership, group_count, accepted = _merge(g, order)
-        cross = sorted(_cross_links(g, membership))
-        key = (group_count, " ".join(map(str, chain.from_iterable(cross))))
+        merged = _, group_count, accepted, links = _merge(g, order)
+        key = (group_count, " ".join(map(str, chain.from_iterable(links))))
         h_skeleton = skeleton_memo.get(key)
         if h_skeleton is None:
-            h_skeleton = skeleton_memo[key] = skeleton_bits(_quotient(group_count, cross))
+            h_skeleton = skeleton_memo[key] = skeleton_bits(_skeleton(group_count, links))
         info = _info(h_skeleton, _supernode_bits(g.node_count, accepted))
         samples.append(
             ContractionSample(

@@ -179,29 +179,6 @@ def cyclomatic_number(g: Graph) -> int:
     return g.link_count - g.node_count + count
 
 
-def quotient_graph(g: Graph, membership: Sequence[int]) -> Graph:
-    """Simple graph over the groups 0..max(membership), labelled s0, s1, ...:
-    cross-group links deduplicated, intra-group links dropped."""
-    if len(membership) != g.node_count:
-        raise ValidationError(
-            f"membership covers {len(membership)} nodes, graph has {g.node_count}"
-        )
-    if min(membership, default=0) < 0:
-        raise ValidationError("group indices must be non-negative")
-    return _quotient(max(membership, default=-1) + 1, _cross_links(g, membership))
-
-
-def _cross_links(g: Graph, membership: Sequence[int]) -> set[Link]:
-    """The links between distinct groups as normalized group pairs, deduplicated."""
-    pairs = ((membership[u], membership[v]) for u, v in g.links)
-    return {(a, b) if a < b else (b, a) for a, b in pairs if a != b}
-
-
-def _quotient(group_count: int, cross: Iterable[Link]) -> Graph:
-    """quotient_graph given its group count and _cross_links."""
-    return Graph._trusted(group_count, cross, tuple(f"s{i}" for i in range(group_count)))
-
-
 def to_dot(g: Graph, node_weights: Optional[Sequence[int]] = None) -> str:
     """Render as a Graphviz undirected graph; optional weights scale node size."""
     if node_weights is not None:

@@ -178,8 +178,9 @@ def _all_source_bits(g: Graph) -> list[float]:
     sources i, i+k, i+2k, ... for i = 1..k-1 and send their bits back over a
     pipe as float.hex text, which round-trips exactly, while this process
     walks 0, k, 2k, ...; the list is the serial one bit for bit. The share
-    of a child that cannot be forked, exits nonzero or sends too few values
-    is walked here. Every child is reaped before this returns or raises.
+    of a child that gets no pipe, cannot be forked, exits nonzero or sends
+    too few values is walked here. Every child is reaped before this returns
+    or raises.
     """
     n = g.node_count
     step = _worker_count(g)
@@ -190,12 +191,13 @@ def _all_source_bits(g: Graph) -> list[float]:
     try:
         for first in range(1, step):
             sources = range(first, n, step)
-            read_end, write_end = os.pipe()
+            ends: tuple[int, ...] = ()
             try:
+                ends = read_end, write_end = os.pipe()
                 pid = os.fork()
             except OSError:
-                os.close(read_end)
-                os.close(write_end)
+                for end in ends:
+                    os.close(end)
                 local.append(sources)
                 continue
             if pid == 0:

@@ -17,6 +17,9 @@ is the only predecessor-list BFS in the repository.
 was computed with, one standalone ``supernode_tree`` graph per super-node
 (``reference_supernode_bits``), before the library scored every super-node
 in one pass over the forest of internal links; the two must agree bit for bit.
+``quotient_graph`` builds the quotient of a membership by rescanning every
+link, as the library's skeletons were built before they were read from the
+merge pass; the skeletons must equal it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from typing import Sequence
 
 from netskel.contraction import SimplifiedNetwork, SuperNode
+from netskel.errors import ValidationError
 from netskel.graph import Graph, Link
 
 UNREACHABLE = -1
@@ -308,3 +313,18 @@ def reference_supernode_bits(s: SimplifiedNetwork) -> list[float]:
         reference_tree_total_bits(supernode_tree(s.original, sn)) if len(sn.members) > 2 else 0.0
         for sn in s.supernodes
     ]
+
+
+def quotient_graph(g: Graph, membership: Sequence[int]) -> Graph:
+    """Simple graph over the groups 0..max(membership), labelled s0, s1, ...:
+    cross-group links deduplicated, intra-group links dropped."""
+    if len(membership) != g.node_count:
+        raise ValidationError(
+            f"membership covers {len(membership)} nodes, graph has {g.node_count}"
+        )
+    if min(membership, default=0) < 0:
+        raise ValidationError("group indices must be non-negative")
+    group_count = max(membership, default=-1) + 1
+    pairs = ((membership[u], membership[v]) for u, v in g.links)
+    cross = {(a, b) if a < b else (b, a) for a, b in pairs if a != b}
+    return Graph._trusted(group_count, cross, tuple(f"s{i}" for i in range(group_count)))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -6,11 +7,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
 
 import netskel as ns
+from netskel import cli
 from netskel.cli import run
 
 
@@ -362,3 +365,28 @@ class TestStandardLibraryOnly:
         proc = invoke_process(argv, first_on_path=stub.parent)
         assert proc.returncode == 0, proc.stderr.decode()
         assert json.loads(proc.stdout)
+
+
+def module_attributes(source: str, namespace: dict) -> list[str]:
+    """Every `name.attr` in source whose name is bound in namespace to a
+    netskel module, as "module.attr"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            value = namespace.get(node.value.id)
+            if isinstance(value, types.ModuleType) and value.__name__.startswith("netskel."):
+                found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+class TestLayering:
+    def test_cli_names_no_private_attribute_of_another_module(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        used = module_attributes(source, vars(cli))
+        assert "contraction.tree_contract" in used  # the scan sees module attributes
+        assert [name for name in used if name.split(".", 1)[1].startswith("_")] == []
+
+    def test_private_access_is_seen(self):
+        source = "def f(g):\n    return contraction._merge(g, graph.links)\n"
+        used = sorted(module_attributes(source, vars(cli)))
+        assert used == ["contraction._merge", "graph.links"]

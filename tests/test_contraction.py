@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netskel as ns
-from netskel import contraction, graph, searchinfo
+from netskel import contraction, searchinfo
 from netskel.errors import ConnectivityError, NetskelError
 from netskel.seeding import derive_seed
 from conftest import connected_graphs, random_connected_graph, tree_with_chords
 from oracle import (
+    quotient_graph,
     reference_supernode_bits,
     reference_tree_contract,
     reference_tree_total_bits,
@@ -143,10 +144,32 @@ class TestTreeContract:
                 assert [(s.members, s.internal_links) for s in simp.supernodes] == supernodes
                 assert list(simp.skeleton.links) == skeleton_links
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(connected_graphs(), st.integers(0, 2**30))
+    def test_matches_reference_on_corpus(self, g, seed):
+        """On three random orders and the degree order: membership, super-nodes
+        and skeleton links as in the copy-on-merge reference, the skeleton is
+        the quotient of the membership and keeps the cyclomatic number, and
+        degree_skeleton is the degree order's skeleton."""
+        orders = [ns.order_links_random(g, derive_seed(seed, t)) for t in range(3)]
+        for order in orders + [ns.order_links_degree(g)]:
+            simp = ns.tree_contract(g, order)
+            membership, supernodes, skeleton_links = reference_tree_contract(g, order)
+            assert simp.membership == membership
+            assert [(s.members, s.internal_links) for s in simp.supernodes] == supernodes
+            assert list(simp.skeleton.links) == skeleton_links
+            assert simp.skeleton == quotient_graph(g, simp.membership)
+            assert ns.cyclomatic_number(simp.skeleton) == ns.cyclomatic_number(g)
+        assert contraction.degree_skeleton(g) == simp.skeleton
+
+    def test_degree_skeleton_rejects_disconnected(self):
+        with pytest.raises(ConnectivityError):
+            contraction.degree_skeleton(ns.load_edge_list("a b\nc d"))
+
     def test_skeleton_is_quotient_graph(self, karate):
         for g in contraction_corpus(karate):
             simp = ns.tree_contract(g, ns.order_links_random(g, 5))
-            q = ns.quotient_graph(g, simp.membership)
+            q = quotient_graph(g, simp.membership)
             assert q == simp.skeleton
             assert q.labels == tuple(f"s{i}" for i in range(len(simp.supernodes)))
 
@@ -251,9 +274,9 @@ class TestForestPassMatchesReference:
 class TestTrialCost:
     def test_trials_build_no_graph_or_network(self, karate, monkeypatch):
         """minimize builds a skeleton graph only for a skeleton it has not
-        seen, and a SimplifiedNetwork (with its quotient graph) only for the
-        best and the worst trial. Every Graph is built by Graph._trusted,
-        quotient graphs and super-node trees included."""
+        seen, and a SimplifiedNetwork (with its skeleton) only for the best
+        and the worst trial. Every Graph is built by Graph._trusted,
+        skeletons and super-node trees included."""
         trials, seed = 500, 42
         distinct = {
             ns.tree_contract(karate, ns.order_links_random(karate, derive_seed(seed, t))).skeleton
@@ -261,28 +284,27 @@ class TestTrialCost:
         }
         counts = Counter()
         trusted = ns.Graph._trusted.__func__
-        quotient = graph.quotient_graph
+        skeleton = contraction._skeleton
         network_init = contraction.SimplifiedNetwork.__init__
 
         def counting_trusted(cls, *args, **kwargs):
             counts["graph"] += 1
             return trusted(cls, *args, **kwargs)
 
-        def counting_quotient(*args):
-            counts["quotient"] += 1
-            return quotient(*args)
+        def counting_skeleton(*args):
+            counts["skeleton"] += 1
+            return skeleton(*args)
 
         def counting_network_init(self, *args, **kwargs):
             counts["network"] += 1
             network_init(self, *args, **kwargs)
 
         monkeypatch.setattr(ns.Graph, "_trusted", classmethod(counting_trusted))
-        monkeypatch.setattr(graph, "quotient_graph", counting_quotient)
-        monkeypatch.setattr(contraction, "quotient_graph", counting_quotient)
+        monkeypatch.setattr(contraction, "_skeleton", counting_skeleton)
         monkeypatch.setattr(contraction.SimplifiedNetwork, "__init__", counting_network_init)
         ns.minimize_h_simp(karate, trials, seed)
         assert counts["network"] <= 2
-        assert counts["quotient"] <= 2
+        assert counts["skeleton"] <= len(distinct) + 2
         assert counts["graph"] <= len(distinct) + 2
 
 

@@ -2,10 +2,11 @@
 
 The benchmark checks these digests only when it runs. Here the same
 inputs are generated with ``bench/workloads.py`` (loaded from its file,
-so ``bench/`` is neither edited nor put on ``sys.path``) and the
-search-info, minimize, contract and estimate commands run in-process
-through ``cli.run``. The N=1000 ``search-info`` and the ``estimate``
-skeleton are large enough for the forked search-information workers.
+so ``bench/`` is neither edited nor put on ``sys.path``) and every
+pinned command, ``info`` on each workload's setup input included, runs
+in-process through ``cli.run``. The N=1000 ``search-info`` and the
+``estimate`` skeleton are large enough for the forked search-information
+workers; ``contract-dot`` contracts a 4000-node star into its hub.
 """
 
 import hashlib
@@ -23,9 +24,9 @@ from netskel import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PINNED = json.loads((BENCH / "pinned_digests.json").read_text(encoding="utf-8"))
 COMMANDS = {
-    "allpairs-er": ("search-info", "search-info-pairs"),
-    "minimize-small": ("minimize-karate", "minimize-chords-csv"),
-    "sparse-large": ("estimate", "contract"),
+    "allpairs-er": ("info", "search-info", "search-info-pairs"),
+    "minimize-small": ("info", "minimize-karate", "minimize-chords-csv"),
+    "sparse-large": ("info", "estimate", "contract", "contract-dot"),
 }
 
 
@@ -45,9 +46,10 @@ def test_seed1_stdout_matches_pinned_digest(workload, tmp_path, monkeypatch):
     assert PINNED["sizes"] == json.loads(json.dumps(workloads.SIZES))
     with resources.as_file(resources.files("netskel") / "data/karate.edges") as karate:
         built = workloads.build(workload, PINNED["seed"], tmp_path, Path(karate))
-    commands = {c.name: c for c in built.commands}
+    argvs = {c.name: c.argv for c in built.commands}
+    argvs["info"] = ("info", built.setup_input)  # as the benchmark runs it for setup_s
     for name in COMMANDS[workload]:
         out, err = io.StringIO(), io.StringIO()
-        assert cli.run(list(commands[name].argv), io.StringIO(""), out, err) == 0, err.getvalue()
+        assert cli.run(list(argvs[name]), io.StringIO(""), out, err) == 0, err.getvalue()
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         assert digest == PINNED["stdout_sha256"][workload][name], name

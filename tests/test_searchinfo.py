@@ -288,7 +288,7 @@ class TestForkedWorkers:
             bits = searchinfo._all_source_bits(g)
         assert hexes(bits) == hexes(serial_bits(g))
 
-    @pytest.mark.parametrize("failure", ["raises", "sends nothing", "fork fails"])
+    @pytest.mark.parametrize("failure", ["raises", "sends nothing", "fork fails", "pipe fails"])
     def test_lost_share_is_walked_here(self, failure, karate):
         parent = os.getpid()
         source_bits = searchinfo._source_bits
@@ -301,13 +301,18 @@ class TestForkedWorkers:
         def no_fork():
             raise OSError(errno.EAGAIN, "fork refused")
 
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
         with forking() as mp:
             if failure == "raises":
                 mp.setattr(searchinfo, "_source_bits", raising_in_children)
             elif failure == "sends nothing":
                 mp.setattr(searchinfo, "_walk_share", lambda g, sources, write_end: os._exit(0))
-            else:
+            elif failure == "fork fails":
                 mp.setattr(os, "fork", no_fork)
+            else:
+                mp.setattr(os, "pipe", no_pipe)
             bits = searchinfo._all_source_bits(karate)
         assert hexes(bits) == hexes(serial_bits(karate))
         self.assert_no_child_left()
