@@ -14,7 +14,9 @@ import math
 import sys
 from typing import IO, Optional, Sequence
 
-from . import contraction, estimator, generators, graph, searchinfo
+# Each subcommand imports the other modules it calls, so that a command
+# loads only the code it runs.
+from . import graph
 from .errors import NetskelError, ParseError
 
 EXIT_OK = 0
@@ -72,6 +74,8 @@ def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
 
 
 def _parse_constants(pairs: Optional[Sequence[str]]) -> estimator.ScalingConstants:
+    from . import estimator
+
     if not pairs:
         return estimator.ScalingConstants()
     overrides = {}
@@ -105,6 +109,8 @@ def _simplification_dict(
 
 
 def _ordered_links(g: graph.Graph, strategy: str, seed: int) -> list[graph.Link]:
+    from . import contraction
+
     if strategy == "degree":
         return contraction.order_links_degree(g)
     return contraction.order_links_random(g, seed)
@@ -128,6 +134,8 @@ def _cmd_info(args, stdin, stdout) -> int:
 def _cmd_search_info(args, stdin, stdout) -> int:
     if args.format == "csv" and not args.pairs:
         raise NetskelError("csv output for search-info requires --pairs")
+    from . import searchinfo
+
     g = _read_graph(args.input, stdin)
     if not args.pairs:
         report = searchinfo.total_search_information(g)
@@ -168,6 +176,8 @@ def _cmd_search_info(args, stdin, stdout) -> int:
 
 
 def _cmd_contract(args, stdin, stdout) -> int:
+    from . import contraction
+
     g = _read_graph(args.input, stdin)
     simp = contraction.tree_contract(g, _ordered_links(g, args.strategy, args.seed))
     if args.format == "dot":
@@ -180,6 +190,8 @@ def _cmd_contract(args, stdin, stdout) -> int:
 
 
 def _cmd_minimize(args, stdin, stdout) -> int:
+    from . import contraction
+
     g = _read_graph(args.input, stdin)
     result = contraction.minimize_h_simp(g, args.trials, args.seed)
     if args.format == "csv":
@@ -205,6 +217,8 @@ def _cmd_minimize(args, stdin, stdout) -> int:
 
 
 def _cmd_estimate(args, stdin, stdout) -> int:
+    from . import contraction, estimator
+
     g = _read_graph(args.input, stdin)
     constants = _parse_constants(args.constants)
     skeleton = contraction.degree_skeleton(g)
@@ -226,6 +240,8 @@ def _cmd_estimate(args, stdin, stdout) -> int:
 
 
 def _cmd_randomize(args, stdin, stdout) -> int:
+    from . import generators
+
     g = _read_graph(args.input, stdin)
     attempts = args.attempts if args.attempts is not None else 10 * g.link_count
     rewired = generators.rewire_degree_preserving(g, attempts, args.seed)
@@ -234,6 +250,8 @@ def _cmd_randomize(args, stdin, stdout) -> int:
 
 
 def _cmd_gen(args, stdin, stdout) -> int:
+    from . import generators
+
     if args.kind == "ring":
         g = generators.gen_ring(args.n)
     elif args.kind == "chain":
@@ -248,6 +266,8 @@ def _cmd_gen(args, stdin, stdout) -> int:
 
 
 def _cmd_tree_scaling(args, stdin, stdout) -> int:
+    from . import generators
+
     rows, fit = generators.tree_scaling_experiment(
         args.min, args.max, args.step, args.samples, args.seed
     )

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NetskelError
 from .graph import Graph, Link, require_connected
@@ -21,30 +20,26 @@ from .searchinfo import _all_source_bits, _forest_total_bits
 from .seeding import derive_seed
 
 
-@dataclass(frozen=True)
-class SuperNode:
+class SuperNode(NamedTuple):
     members: tuple[int, ...]
     internal_links: tuple[Link, ...]
 
 
-@dataclass(frozen=True)
-class SimplifiedNetwork:
+class SimplifiedNetwork(NamedTuple):
     original: Graph
     skeleton: Graph
     supernodes: tuple[SuperNode, ...]
     membership: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SimplifiedSearchInfo:
+class SimplifiedSearchInfo(NamedTuple):
     h_skeleton: float
     h_supernodes: tuple[float, ...]
     h_supernodes_total: float
     h_simp: float
 
 
-@dataclass(frozen=True)
-class ContractionSample:
+class ContractionSample(NamedTuple):
     trial: int
     skeleton_nodes: int
     h_skeleton: float
@@ -52,8 +47,7 @@ class ContractionSample:
     h_simp: float
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     best: SimplifiedNetwork
     best_info: SimplifiedSearchInfo
     best_trial: int

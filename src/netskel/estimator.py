@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateFitError, NetskelError
 
@@ -13,33 +12,41 @@ from .errors import DegenerateFitError, NetskelError
 RELIABLE_RATIO = 0.3
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     amplitude: float
     exponent: float
     r_squared: float
 
 
-@dataclass(frozen=True)
-class ScalingConstants:
-    """Published scaling constants; override any of them with a re-fitted value."""
-
+class _ScalingFields(NamedTuple):
     inverse_amplitude: float = 1.012
     inverse_exponent: float = 2.35
     tree_amplitude: float = 0.721
     tree_exponent: float = 2.550
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+
+class ScalingConstants(_ScalingFields):
+    """Published scaling constants; override any of them with a re-fitted value."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScalingConstants:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise NetskelError(f"{name} must be finite, got {value}")
         for name in ("inverse_amplitude", "tree_amplitude"):
             if getattr(self, name) <= 0:
                 raise NetskelError(f"{name} must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ScalingConstants:
+        """As NamedTuple._make, but through the checks; _replace calls it."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SkeletonEstimate:
+class SkeletonEstimate(NamedTuple):
     h_skeleton: float
     ratio: float
     estimate_bits: float

@@ -5,8 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NetskelError
 from .estimator import PowerLawFit, fit_power_law
@@ -15,8 +14,7 @@ from .searchinfo import _forest_total_bits
 from .seeding import derive_seed
 
 
-@dataclass(frozen=True)
-class TreeScalingRow:
+class TreeScalingRow(NamedTuple):
     n: int
     mean_bits: float
     std_bits: float

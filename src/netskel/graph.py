@@ -3,20 +3,14 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConnectivityError, ParseError, ValidationError
 
 Link = tuple[int, int]
 
 
-def _normalize_link(u: int, v: int) -> Link:
-    return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable undirected simple graph over dense node indices 0..N-1.
 
     ``links`` holds normalized (min, max) pairs in sorted order, ``labels``
@@ -51,7 +45,7 @@ class Graph:
                 raise ValidationError(f"link ({u}, {v}) references unknown node")
             if u == v:
                 raise ValidationError(f"self-loop on node {labels[u]!r}")
-            link = _normalize_link(u, v)
+            link = (u, v) if u < v else (v, u)
             if link in seen:
                 raise ValidationError(
                     f"duplicate link {labels[link[0]]!r} -- {labels[link[1]]!r}"
@@ -69,7 +63,7 @@ class Graph:
     ) -> "Graph":
         """Build from links that are valid by construction: in range, no
         self-loop, no duplicate. Only normalizes, sorts and indexes them."""
-        normalized = sorted(_normalize_link(u, v) for u, v in links)
+        normalized = sorted((u, v) if u < v else (v, u) for u, v in links)
         neighbors: list[list[int]] = [[] for _ in range(node_count)]
         for u, v in normalized:  # sorted links give sorted neighbor lists
             neighbors[u].append(v)
@@ -97,17 +91,9 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
         lines: Iterable[str] = text.splitlines()
     else:
         lines = text
-    index: dict[str, int] = {}
-    labels: list[str] = []
+    index: dict[str, int] = {}  # label -> its index, in first-appearance order
     links: list[tuple[int, int]] = []
     seen: set[Link] = set()
-
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,17 +103,18 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
             raise ParseError(
                 f"line {lineno}: expected 2 tokens, got {len(tokens)}: {line!r}"
             )
-        u, v = intern(tokens[0]), intern(tokens[1])
+        u = index.setdefault(tokens[0], len(index))
+        v = index.setdefault(tokens[1], len(index))
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop on {tokens[0]!r}")
-        link = _normalize_link(u, v)
+        link = (u, v) if u < v else (v, u)
         if link in seen:
             raise ValidationError(
                 f"line {lineno}: duplicate edge {tokens[0]!r} -- {tokens[1]!r}"
             )
         seen.add(link)
         links.append(link)
-    return Graph._trusted(len(labels), links, labels)
+    return Graph._trusted(len(index), links, tuple(index))
 
 
 def write_edge_list(g: Graph) -> str:

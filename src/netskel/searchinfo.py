@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
@@ -31,8 +30,7 @@ UNDERFLOW_THRESHOLD = 1e-300
 FORK_BREAK_EVEN_WORK = 250_000
 
 
-@dataclass(frozen=True)
-class SearchInfoReport:
+class SearchInfoReport(NamedTuple):
     """Whole-network search information in bits.
 
     average_bits uses the N^2 denominator (the s=d diagonal counts as 0).

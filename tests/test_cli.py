@@ -368,15 +368,25 @@ class TestStandardLibraryOnly:
 
 
 def module_attributes(source: str, namespace: dict) -> list[str]:
-    """Every `name.attr` in source whose name is bound in namespace to a
-    netskel module, as "module.attr"."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            value = namespace.get(node.value.id)
-            if isinstance(value, types.ModuleType) and value.__name__.startswith("netskel."):
-                found.append(f"{node.value.id}.{node.attr}")
-    return found
+    """Every `name.attr` in source whose name is bound to a netskel module,
+    in namespace or by a `from . import name` anywhere in source (a function
+    that imports a module on first use), as "module.attr"."""
+    tree = ast.parse(source)
+    modules = {
+        name
+        for name, value in namespace.items()
+        if isinstance(value, types.ModuleType) and value.__name__.startswith("netskel.")
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            modules.update(alias.asname or alias.name for alias in node.names)
+    return [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
 
 
 class TestLayering:
@@ -387,6 +397,72 @@ class TestLayering:
         assert [name for name in used if name.split(".", 1)[1].startswith("_")] == []
 
     def test_private_access_is_seen(self):
-        source = "def f(g):\n    return contraction._merge(g, graph.links)\n"
+        source = "def f(g):\n    from . import contraction\n    return contraction._merge(g, graph.links)\n"
         used = sorted(module_attributes(source, vars(cli)))
         assert used == ["contraction._merge", "graph.links"]
+
+
+class TestLoadOnFirstUse:
+    """A command loads only the modules it runs, and the package resolves its
+    public names on first use."""
+
+    LAYERS = ("searchinfo", "contraction", "estimator", "generators")
+
+    @staticmethod
+    def fresh(script: str, *argv: str) -> list[str]:
+        """The words script prints, run in a fresh interpreter that loads no
+        site packages (-S), so only netskel and the standard library import."""
+        src = str(Path(ns.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def loaded_by(self, *argv: str) -> set[str]:
+        script = (
+            "import io, sys\n"
+            "from netskel import cli\n"
+            "code = cli.run(sys.argv[1:], io.StringIO(), io.StringIO(), sys.stderr)\n"
+            "print(code, *sys.modules)\n"
+        )
+        code, *modules = self.fresh(script, *argv)
+        assert code == "0"
+        return set(modules)
+
+    def test_info_loads_only_graph(self, karate_path):
+        loaded = self.loaded_by("info", karate_path)
+        assert "netskel.graph" in loaded
+        assert loaded & {"dataclasses", *(f"netskel.{m}" for m in self.LAYERS)} == set()
+
+    def test_search_info_loads_no_contraction(self, karate_path):
+        loaded = self.loaded_by("search-info", karate_path)
+        assert "netskel.searchinfo" in loaded
+        assert loaded & {f"netskel.{m}" for m in ("contraction", "estimator", "generators")} == set()
+
+    def test_public_names_resolve_on_first_use(self):
+        script = (
+            "import sys, netskel\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('netskel.')) or ['none'])\n"
+            "defined = all(\n"
+            "    getattr(netskel, n) is getattr(sys.modules[getattr(netskel, n).__module__], n)\n"
+            "    and getattr(netskel, n).__module__.startswith('netskel.')\n"
+            "    for n in netskel.__all__\n"
+            ")\n"
+            "star = {}\n"
+            "exec('from netskel import *', star)\n"
+            "bound = all(star.get(n) is getattr(netskel, n) for n in netskel.__all__)\n"
+            "try:\n"
+            "    netskel.no_such_name\n"
+            "    unknown = 'resolved'\n"
+            "except AttributeError:\n"
+            "    unknown = 'AttributeError'\n"
+            "print(len(netskel.__all__), defined, bound, unknown)\n"
+        )
+        words = self.fresh(script)
+        assert words[0] == "none"  # importing the package loads no module
+        assert words[1:] == [str(len(ns.__all__)), "True", "True", "AttributeError"]

@@ -285,7 +285,7 @@ class TestTrialCost:
         counts = Counter()
         trusted = ns.Graph._trusted.__func__
         skeleton = contraction._skeleton
-        network_init = contraction.SimplifiedNetwork.__init__
+        network_new = contraction.SimplifiedNetwork.__new__
 
         def counting_trusted(cls, *args, **kwargs):
             counts["graph"] += 1
@@ -295,13 +295,13 @@ class TestTrialCost:
             counts["skeleton"] += 1
             return skeleton(*args)
 
-        def counting_network_init(self, *args, **kwargs):
+        def counting_network_new(cls, *args, **kwargs):
             counts["network"] += 1
-            network_init(self, *args, **kwargs)
+            return network_new(cls, *args, **kwargs)
 
         monkeypatch.setattr(ns.Graph, "_trusted", classmethod(counting_trusted))
         monkeypatch.setattr(contraction, "_skeleton", counting_skeleton)
-        monkeypatch.setattr(contraction.SimplifiedNetwork, "__init__", counting_network_init)
+        monkeypatch.setattr(contraction.SimplifiedNetwork, "__new__", counting_network_new)
         ns.minimize_h_simp(karate, trials, seed)
         assert counts["network"] <= 2
         assert counts["skeleton"] <= len(distinct) + 2

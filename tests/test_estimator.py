@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -137,9 +136,11 @@ class TestScalingConstants:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(NetskelError):
             ns.ScalingConstants(tree_amplitude=0.0)
+        with pytest.raises(NetskelError):
+            ns.ScalingConstants()._replace(tree_amplitude=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ns.ScalingConstants)])
+    @pytest.mark.parametrize("name", ns.ScalingConstants._fields)
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(NetskelError, match=f"{name} must be finite"):
             ns.ScalingConstants(**{name: value})

@@ -176,6 +176,40 @@ class TestTotalSearchInformation:
         assert report.average_bits == 0.0
 
 
+class TestExactIdentities:
+    """Identities that hold exactly for every connected graph, checked to
+    IDENTITY_BITS with no oracle. Each shortest path from s to d has
+    probability (1/k_s) * prod 1/(k_j - 1) over its interior nodes j, so
+    reversing it changes only the first factor."""
+
+    IDENTITY_BITS = 1e-12
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_reversal(self, g):
+        # H(d->s) - H(s->d) = log2 k_d - log2 k_s for every ordered pair
+        rows = list(ns.search_information_rows(g))
+        log_k = [math.log2(k) for k in g.degrees]
+        worst = max(
+            abs(rows[d][s] - rows[s][d] - (log_k[d] - log_k[s]))
+            for s in range(g.node_count)
+            for d in range(g.node_count)
+        )
+        assert worst <= self.IDENTITY_BITS
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_reversal_row_sums(self, g):
+        # per_source_bits[s] - (N-1) log2 k_s = sum over d != s of H(d->s) - log2 k_d
+        n = g.node_count
+        per_source = ns.total_search_information(g).per_source_bits
+        rows = list(ns.search_information_rows(g))
+        log_k = [math.log2(k) for k in g.degrees]
+        for s in range(n):
+            column = math.fsum(rows[d][s] - log_k[d] for d in range(n) if d != s)
+            assert abs(per_source[s] - (n - 1) * log_k[s] - column) <= self.IDENTITY_BITS
+
+
 class TestFusedKernelMatchesReference:
     """The single-pass kernel against the two-pass BFS + DP it replaced
     (``tests/oracle.py``), compared bit for bit."""
