@@ -16,8 +16,15 @@ from typing import Iterable, NamedTuple
 
 from .errors import NetskelError
 from .graph import Graph, Link, require_connected
-from .searchinfo import _all_source_bits, _forest_total_bits
+from .searchinfo import _all_source_bits, _forest_total_bits, _spread, _worker_count
 from .seeding import derive_seed
+
+
+# What one minimize trial costs per link of the graph, in the N*L units of
+# searchinfo.FORK_BREAK_EVEN_WORK (walking every source of a graph costs
+# about N*L): 11-43 on the graphs measured in BENCH_14.json, least where
+# memo hits or trivial skeletons leave only the merge and the forest pass.
+TRIAL_WORK_PER_LINK = 20
 
 
 class SuperNode(NamedTuple):
@@ -167,10 +174,10 @@ def _network(
     )
 
 
-def skeleton_bits(skeleton: Graph) -> float:
+def skeleton_bits(skeleton: Graph, spread: bool = True) -> float:
     """Total search information of a skeleton (connected by construction, so not
-    re-checked)."""
-    return math.fsum(_all_source_bits(skeleton))
+    re-checked); its sources are walked in this process alone unless spread."""
+    return math.fsum(_all_source_bits(skeleton, spread))
 
 
 def _supernode_bits(node_count: int, internal_links: Iterable[Link]) -> list[float]:
@@ -201,21 +208,49 @@ def _info(h_skeleton: float, h_super: list[float]) -> SimplifiedSearchInfo:
     )
 
 
+def _score_word(nodes: int, h_skeleton: float, h_super: float) -> str:
+    """A trial's score as one word of text that round-trips exactly."""
+    return f"{nodes},{h_skeleton.hex()},{h_super.hex()}"
+
+
+def _parse_score(word: str) -> tuple[int, float, float]:
+    """The score that _score_word wrote."""
+    nodes, h_skeleton, h_super = word.split(",")
+    return int(nodes), float.fromhex(h_skeleton), float.fromhex(h_super)
+
+
+def _rebuild(
+    g: Graph, seed: int, sample: ContractionSample
+) -> tuple[SimplifiedNetwork, SimplifiedSearchInfo]:
+    """The network and info of a minimize sample, by merging its order again."""
+    merged = _merge(g, order_links_random(g, derive_seed(seed, sample.trial)))
+    h_super = _supernode_bits(g.node_count, merged[2])
+    return _network(g, *merged), _info(sample.h_skeleton, h_super)
+
+
 def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     """Sample random contraction orderings and track the extremes of h_simp.
 
     Trial i uses a seed derived from the master seed by counter, so the
-    result is reproducible and trials could run in any order. Ties keep
-    the lowest trial index. A trial merges, keys the memo below on the
-    skeleton links of the merge, builds a skeleton only on a memo miss and
-    scores every super-node in one forest pass; only the best and worst
-    networks are built.
+    result is reproducible and trials can run in any order. A trial merges,
+    keys the memo below on the skeleton links of the merge, builds a
+    skeleton only on a memo miss and scores every super-node in one forest
+    pass. Ties keep the lowest trial index; only the best and worst
+    networks are built, by merging their orders again.
+
+    When the trials' work (TRIAL_WORK_PER_LINK per link each) pays for
+    k > 1 processes and there are at least k trials, the trials are shared
+    among k processes (searchinfo._spread), each with its own memo and
+    walking its skeletons alone; scores come back as float.hex text, so
+    the result is the serial one bit for bit. Otherwise the trials run here
+    and a large skeleton's walks may be spread instead.
     """
     if trials < 1:
         raise NetskelError(f"trials must be positive, got {trials}")
     require_connected(g)
-    samples: list[ContractionSample] = []
-    best = worst = None  # (trial, info, _merge result)
+    workers = _worker_count(trials * g.link_count * TRIAL_WORK_PER_LINK)
+    if workers > trials:
+        workers = 1
     # Few distinct skeletons recur over many trials, so each one's H is
     # computed once. Super-nodes are numbered by their minimum member and
     # skeleton links are sorted, so equal keys mean equal graphs. The links are
@@ -223,34 +258,36 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     # alive (array or struct would load an extension module, which alone
     # adds about 0.25 MiB of peak RSS).
     skeleton_memo: dict[tuple[int, str], float] = {}
-    for trial in range(trials):
-        order = order_links_random(g, derive_seed(seed, trial))
-        merged = _, group_count, accepted, links = _merge(g, order)
+
+    def score(trial: int) -> tuple[int, float, float]:
+        """The trial's skeleton nodes, skeleton H and super-node H total."""
+        _, group_count, accepted, links = _merge(g, order_links_random(g, derive_seed(seed, trial)))
         key = (group_count, " ".join(map(str, chain.from_iterable(links))))
         h_skeleton = skeleton_memo.get(key)
         if h_skeleton is None:
-            h_skeleton = skeleton_memo[key] = skeleton_bits(_skeleton(group_count, links))
-        info = _info(h_skeleton, _supernode_bits(g.node_count, accepted))
-        samples.append(
-            ContractionSample(
-                trial=trial,
-                skeleton_nodes=group_count,
-                h_skeleton=info.h_skeleton,
-                h_supernodes=info.h_supernodes_total,
-                h_simp=info.h_simp,
-            )
-        )
-        if best is None or info.h_simp < best[1].h_simp:
-            best = (trial, info, merged)
-        if worst is None or info.h_simp > worst[1].h_simp:
-            worst = (trial, info, merged)
-    assert best is not None and worst is not None
+            skeleton = _skeleton(group_count, links)
+            h_skeleton = skeleton_memo[key] = skeleton_bits(skeleton, spread=workers < 2)
+        return group_count, h_skeleton, sum(_supernode_bits(g.node_count, accepted))
+
+    if workers < 2:
+        scores = [score(trial) for trial in range(trials)]
+    else:
+        words = _spread(trials, workers, lambda t: _score_word(*score(t)))
+        scores = [_parse_score(word) for word in words]
+    samples = tuple(
+        ContractionSample(trial, nodes, h_skeleton, h_super, h_skeleton + h_super)
+        for trial, (nodes, h_skeleton, h_super) in enumerate(scores)
+    )
+    best = min(samples, key=lambda sample: sample.h_simp)  # the first of ties
+    worst = max(samples, key=lambda sample: sample.h_simp)
+    best_network, best_info = _rebuild(g, seed, best)
+    worst_network, worst_info = _rebuild(g, seed, worst)
     return MinimizeResult(
-        best=_network(g, *best[2]),
-        best_info=best[1],
-        best_trial=best[0],
-        worst=_network(g, *worst[2]),
-        worst_info=worst[1],
-        worst_trial=worst[0],
-        samples=tuple(samples),
+        best=best_network,
+        best_info=best_info,
+        best_trial=best.trial,
+        worst=worst_network,
+        worst_info=worst_info,
+        worst_trial=worst.trial,
+        samples=samples,
     )

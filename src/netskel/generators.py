@@ -8,9 +8,13 @@ import random
 from typing import NamedTuple, Optional
 
 from .errors import NetskelError
+
+# Only tree_scaling_experiment needs the estimator, but it stays a module-level
+# import: bench/tracer.py wraps every layer module and expects each one to be
+# loaded already, which for the estimator only this import ensures (ROADMAP
+# item 2 has the tracer load them itself).
 from .estimator import PowerLawFit, fit_power_law
 from .graph import Graph, require_connected
-from .searchinfo import _forest_total_bits
 from .seeding import derive_seed
 
 
@@ -144,6 +148,9 @@ def tree_scaling_experiment(
         raise NetskelError(f"step must be positive, got {step}")
     if samples < 1:
         raise NetskelError(f"samples must be positive, got {samples}")
+    # only this function walks trees, so rewiring and generating load no searchinfo
+    from .searchinfo import _forest_total_bits
+
     rows: list[TreeScalingRow] = []
     counter = 0
     for n in range(n_min, n_max + 1, step):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
@@ -144,51 +144,47 @@ def _source_bits(g: Graph, source: int) -> float:
     return 0.0 - math.fsum(map(math.log2, a))
 
 
-def _worker_count(g: Graph) -> int:
-    """The number of processes to walk g's sources in: one per CPU this
-    process may run on, but none with less than FORK_BREAK_EVEN_WORK of the
-    N*L. Below 2, they are walked here alone; so too where the platform
-    cannot fork, or where another thread is live, since a forked child keeps
-    only the calling thread and any lock another one holds stays locked."""
+def _worker_count(work: int) -> int:
+    """The number of processes to share work in, given in N*L units (what
+    walking every source of a graph costs): one per CPU this process may run
+    on, but none with less than FORK_BREAK_EVEN_WORK. Below 2, the work is
+    done here alone; so too where the platform cannot fork, or where another
+    thread is live, since a forked child keeps only the calling thread and
+    any lock another one holds stays locked."""
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     if not can_fork or threading.active_count() > 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), g.node_count * g.link_count // FORK_BREAK_EVEN_WORK)
+    return min(len(os.sched_getaffinity(0)), work // FORK_BREAK_EVEN_WORK)
 
 
-def _walk_share(g: Graph, sources: range, write_end: int) -> NoReturn:
-    """In a forked child: send the float.hex of _source_bits for each source
-    over the pipe and leave with status 0, or 1 on any failure, without
+def _send_share(item: Callable[[int], str], share: range, write_end: int) -> NoReturn:
+    """In a forked child: send item(i) for each i of the share over the pipe,
+    space-separated, and leave with status 0, or 1 on any failure, without
     running the parent's exit handlers or flushing its buffers."""
     status = 1
     try:
         with open(write_end, "wb") as pipe:
-            pipe.write(" ".join(float.hex(_source_bits(g, s)) for s in sources).encode("ascii"))
+            pipe.write(" ".join(map(item, share)).encode("ascii"))
         status = 0
     finally:
         os._exit(status)
 
 
-def _all_source_bits(g: Graph) -> list[float]:
-    """_source_bits of every source of a connected graph, in index order.
+def _spread(count: int, workers: int, item: Callable[[int], str]) -> list[str]:
+    """[item(i) for i in range(count)], shared among workers >= 2 processes.
 
-    With k > 1 workers (_worker_count), children forked here walk the
-    sources i, i+k, i+2k, ... for i = 1..k-1 and send their bits back over a
-    pipe as float.hex text, which round-trips exactly, while this process
-    walks 0, k, 2k, ...; the list is the serial one bit for bit. The share
-    of a child that gets no pipe, cannot be forked, exits nonzero or sends
-    too few values is walked here. Every child is reaped before this returns
-    or raises.
+    Children forked here take the shares i, i+k, i+2k, ... for i = 1..k-1
+    (k = workers) and send their items back over a pipe, while this process
+    takes 0, k, 2k, ...; an item is one word of ASCII text, such as a
+    float.hex, which round-trips exactly. The share of a child that gets no
+    pipe, cannot be forked, exits nonzero or sends too few words is done
+    here. Every child is reaped before this returns or raises.
     """
-    n = g.node_count
-    step = _worker_count(g)
-    if step < 2:
-        return [_source_bits(g, s) for s in range(n)]
-    children = []  # (pid, read end of its pipe, its sources)
-    local = [range(0, n, step)]  # the shares walked in this process
+    children = []  # (pid, read end of its pipe, its share)
+    local = [range(0, count, workers)]  # the shares done in this process
     try:
-        for first in range(1, step):
-            sources = range(first, n, step)
+        for first in range(1, workers):
+            share = range(first, count, workers)
             ends: tuple[int, ...] = ()
             try:
                 ends = read_end, write_end = os.pipe()
@@ -196,29 +192,40 @@ def _all_source_bits(g: Graph) -> list[float]:
             except OSError:
                 for end in ends:
                     os.close(end)
-                local.append(sources)
+                local.append(share)
                 continue
             if pid == 0:
                 os.close(read_end)  # so that a write with no reader left fails
-                _walk_share(g, sources, write_end)
+                _send_share(item, share, write_end)
             os.close(write_end)
-            children.append((pid, open(read_end, "rb"), sources))
-        bits = [0.0] * n
-        for sources in local:
-            for s in sources:
-                bits[s] = _source_bits(g, s)
+            children.append((pid, open(read_end, "rb"), share))
+        items = [""] * count
+        for share in local:
+            items[share.start :: workers] = map(item, share)
         texts = [pipe.read().decode("ascii").split() for _, pipe, _ in children]
     finally:
         for _, pipe, _ in children:
             pipe.close()  # a child still writing gets EPIPE and exits
         statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
-    for (_, _, sources), text, status in zip(children, texts, statuses):
-        if status == 0 and len(text) == len(sources):
-            bits[sources.start :: step] = map(float.fromhex, text)
-        else:
-            for s in sources:
-                bits[s] = _source_bits(g, s)
-    return bits
+    for (_, _, share), text, status in zip(children, texts, statuses):
+        lost = status != 0 or len(text) != len(share)
+        items[share.start :: workers] = map(item, share) if lost else text
+    return items
+
+
+def _all_source_bits(g: Graph, spread: bool = True) -> list[float]:
+    """_source_bits of every source of a connected graph, in index order.
+
+    Unless spread is False, the sources are shared among _worker_count
+    processes (_spread), which send their bits as float.hex text; the list
+    is the serial one bit for bit.
+    """
+    n = g.node_count
+    workers = _worker_count(n * g.link_count) if spread else 1
+    if workers < 2:
+        return [_source_bits(g, s) for s in range(n)]
+    words = _spread(n, workers, lambda s: float.hex(_source_bits(g, s)))
+    return list(map(float.fromhex, words))
 
 
 def search_information_rows(g: Graph) -> Iterator[list[float]]:

@@ -1,3 +1,5 @@
+import contextlib
+import os
 import random
 import sys
 from importlib import resources
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import netskel as ns
+from netskel import searchinfo
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -55,3 +58,24 @@ def connected_graphs(draw) -> ns.Graph:
         return ns.gen_ring(draw(st.integers(3, 80)))
     n = draw(st.integers(3, 60))
     return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])
+
+
+@contextlib.contextmanager
+def forking(cpus: int = 3):
+    """Within the block every graph with a link is walked by cpus - 1 forked
+    children and this process, and so are the trials of every minimize with
+    at least cpus trials, whatever the machine. With cpus=1 nothing forks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(searchinfo, "FORK_BREAK_EVEN_WORK", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        yield mp
+
+
+def bitwise(value):
+    """value with every float in it, through nested tuples and records,
+    replaced by its float.hex, so that == compares bit for bit."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, tuple):
+        return tuple(map(bitwise, value))
+    return value

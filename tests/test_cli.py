@@ -444,6 +444,11 @@ class TestLoadOnFirstUse:
         assert "netskel.searchinfo" in loaded
         assert loaded & {f"netskel.{m}" for m in ("contraction", "estimator", "generators")} == set()
 
+    def test_randomize_loads_no_search_information(self, karate_path):
+        loaded = self.loaded_by("randomize", karate_path, "--attempts", "50")
+        assert "netskel.generators" in loaded
+        assert "netskel.searchinfo" not in loaded
+
     def test_public_names_resolve_on_first_use(self):
         script = (
             "import sys, netskel\n"

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import os
 import random
 import time
 from collections import Counter
@@ -12,7 +13,7 @@ import netskel as ns
 from netskel import contraction, searchinfo
 from netskel.errors import ConnectivityError, NetskelError
 from netskel.seeding import derive_seed
-from conftest import connected_graphs, random_connected_graph, tree_with_chords
+from conftest import bitwise, connected_graphs, forking, random_connected_graph, tree_with_chords
 from oracle import (
     quotient_graph,
     reference_supernode_bits,
@@ -20,6 +21,11 @@ from oracle import (
     reference_tree_total_bits,
     supernode_tree,
 )
+
+
+def pin_to_one_cpu(monkeypatch):
+    """Nothing forks, so every call a test counts is made in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def star(n):
@@ -299,6 +305,7 @@ class TestTrialCost:
             counts["network"] += 1
             return network_new(cls, *args, **kwargs)
 
+        pin_to_one_cpu(monkeypatch)
         monkeypatch.setattr(ns.Graph, "_trusted", classmethod(counting_trusted))
         monkeypatch.setattr(contraction, "_skeleton", counting_skeleton)
         monkeypatch.setattr(contraction.SimplifiedNetwork, "__new__", counting_network_new)
@@ -352,6 +359,7 @@ class TestMinimize:
     def test_skeletons_are_not_rechecked_for_connectivity(self, karate, monkeypatch):
         calls = []
         check = searchinfo.require_connected
+        pin_to_one_cpu(monkeypatch)
         monkeypatch.setattr(searchinfo, "require_connected", lambda g: calls.append(g) or check(g))
         ns.minimize_h_simp(karate, 500, 42)
         assert calls == []
@@ -396,7 +404,10 @@ class TestSkeletonMemo:
     def test_each_distinct_skeleton_computed_once(self, karate, monkeypatch):
         calls = []
         bits = contraction.skeleton_bits
-        monkeypatch.setattr(contraction, "skeleton_bits", lambda sk: calls.append(sk) or bits(sk))
+        pin_to_one_cpu(monkeypatch)
+        monkeypatch.setattr(
+            contraction, "skeleton_bits", lambda sk, **spread: calls.append(sk) or bits(sk, **spread)
+        )
         ns.minimize_h_simp(karate, 500, 42)
         distinct = set()
         for t in range(500):
@@ -404,6 +415,47 @@ class TestSkeletonMemo:
             distinct.add((sk.node_count, sk.links))
         assert len(distinct) < 50  # skeletons repeat, so a memo that never hits shows
         assert len(calls) == len(distinct)
+
+
+class TestForkedTrials:
+    """minimize_h_simp with its trials shared among forked workers equals the
+    serial run bit for bit, and a worker walks its skeletons alone."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(connected_graphs(), st.integers(0, 2**30))
+    def test_corpus_equals_serial(self, g, seed):
+        with forking(cpus=1):
+            want = bitwise(ns.minimize_h_simp(g, 7, seed))
+        with forking():
+            got = bitwise(ns.minimize_h_simp(g, 7, seed))
+        assert got == want
+
+    def test_no_nested_fork(self, karate, tmp_path):
+        # the children inherit the counting fork and report any call to a file
+        parent, forks, fork = os.getpid(), [], os.fork
+        nested = tmp_path / "nested"
+
+        def counting_fork():
+            if os.getpid() != parent:
+                nested.write_text("forked in a worker")
+            forks.append(None)
+            return fork()
+
+        with forking() as mp:
+            mp.setattr(os, "fork", counting_fork)
+            ns.minimize_h_simp(karate, 30, 7)
+        assert len(forks) == 2
+        assert not nested.exists()
+
+    def test_fewer_trials_than_workers_spread_walks(self, karate):
+        # 2 trials for 3 processes: the trials run here and every memo
+        # miss's skeleton walk forks 2 children
+        forks, fork = [], os.fork
+        with forking() as mp:
+            mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+            result = ns.minimize_h_simp(karate, 2, 7)
+        distinct = {(s.skeleton_nodes, s.h_skeleton) for s in result.samples}
+        assert len(forks) == 2 * len(distinct)
 
 
 class TestScaling:

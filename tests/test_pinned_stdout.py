@@ -6,7 +6,9 @@ so ``bench/`` is neither edited nor put on ``sys.path``) and every
 pinned command, ``info`` on each workload's setup input included, runs
 in-process through ``cli.run``. The N=1000 ``search-info`` and the
 ``estimate`` skeleton are large enough for the forked search-information
-workers; ``contract-dot`` contracts a 4000-node star into its hub.
+workers, and both ``minimize`` commands share their trials among forked
+workers on a machine with two or more CPUs; ``contract-dot`` contracts a
+4000-node star into its hub.
 """
 
 import hashlib

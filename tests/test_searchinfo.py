@@ -1,5 +1,5 @@
-import contextlib
 import errno
+import itertools
 import math
 import os
 import random
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 import netskel as ns
-from netskel import searchinfo
+from netskel import contraction, searchinfo
 from netskel.errors import ConnectivityError, NetskelError, UnreachableError
-from conftest import connected_graphs, random_connected_graph
+from conftest import bitwise, connected_graphs, forking, random_connected_graph, tree_with_chords
 import oracle
 from oracle import (
     brute_force_pair_bits,
@@ -33,6 +33,24 @@ def deep_diamond_chain(k: int = 400, p: int = 6) -> ns.Graph:
             links += [(i, mid), (mid, i + 1)] + [(mid, mid + 1 + j) for j in range(p)]
         nxt += 2 * (1 + p)
     return ns.Graph.from_links(nxt, links)
+
+
+def parts_without(g: ns.Graph, cut: int) -> list[list[int]]:
+    """The node lists of the connected components of g with the node cut removed."""
+    seen = [False] * g.node_count
+    seen[cut] = True
+    parts = []
+    for root in range(g.node_count):
+        if not seen[root]:
+            seen[root] = True
+            part = [root]
+            for u in part:
+                for v in g.adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        part.append(v)
+            parts.append(part)
+    return parts
 
 
 def reference_row(g: ns.Graph, s: int) -> list[float]:
@@ -209,6 +227,26 @@ class TestExactIdentities:
             column = math.fsum(rows[d][s] - log_k[d] for d in range(n) if d != s)
             assert abs(per_source[s] - (n - 1) * log_k[s] - column) <= self.IDENTITY_BITS
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_cut_vertex_identity(self, g):
+        # H(s->d) = H(s->a) + H(a->d) - log2 k_a + log2(k_a - 1) wherever
+        # removing a separates s from d: every path passes a, and the walker
+        # leaves a over one of its k_a - 1 other links, not one of k_a
+        rows = list(ns.search_information_rows(g))
+        pairs = 0
+        for a in range(g.node_count):
+            k = g.degrees[a]
+            if k < 2:
+                continue  # a leaf separates nothing
+            shift = math.log2(k - 1) - math.log2(k)
+            for sources, dests in itertools.permutations(parts_without(g, a), 2):
+                for s, d in itertools.product(sources, dests):
+                    assert abs(rows[s][d] - rows[s][a] - rows[a][d] - shift) <= self.IDENTITY_BITS
+                    pairs += 1
+        if g.link_count == g.node_count - 1 > 1:
+            assert pairs > 0  # every node of a tree that is not a leaf is a cut vertex
+
 
 class TestFusedKernelMatchesReference:
     """The single-pass kernel against the two-pass BFS + DP it replaced
@@ -276,23 +314,31 @@ class TestSourceBitsWithoutRows:
         assert report.per_source_bits == tuple(map(math.fsum, rows))
 
 
-@contextlib.contextmanager
-def forking(cpus: int = 3):
-    """Within the block every graph with a link is walked by cpus - 1 forked
-    children and this process, whatever the machine."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(searchinfo, "FORK_BREAK_EVEN_WORK", 1)
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        yield mp
-
-
 def serial_bits(g: ns.Graph) -> list[float]:
     return [searchinfo._source_bits(g, s) for s in range(g.node_count)]
 
 
+# The two users of searchinfo._spread: every source of a graph, and the
+# trials of minimize_h_simp (30 karate trials, shared among 3 processes
+# under forking()). Each user's result is compared bitwise with its serial run.
+USERS = ("sources", "trials")
+
+
+def run_user(user: str, g: ns.Graph):
+    if user == "sources":
+        return hexes(searchinfo._all_source_bits(g))
+    return bitwise(contraction.minimize_h_simp(g, 30, 7))
+
+
+def serial_run(user: str, g: ns.Graph):
+    with forking(cpus=1):
+        return run_user(user, g)
+
+
 class TestForkedWorkers:
-    """_all_source_bits spread over forked children equals the serial list
-    bit for bit, recovers every lost share and leaves no child behind."""
+    """_all_source_bits and minimize_h_simp spread over forked children equal
+    their serial results bit for bit, recover every lost share and leave no
+    child behind."""
 
     @staticmethod
     def assert_no_child_left():
@@ -322,12 +368,19 @@ class TestForkedWorkers:
             bits = searchinfo._all_source_bits(g)
         assert hexes(bits) == hexes(serial_bits(g))
 
-    @pytest.mark.parametrize("failure", ["raises", "sends nothing", "fork fails", "pipe fails"])
-    def test_lost_share_is_walked_here(self, failure, karate):
+    @pytest.mark.parametrize(
+        "failure, user",
+        [
+            pytest.param(failure, user, id=failure if user == "sources" else f"{failure}-{user}")
+            for user in USERS
+            for failure in ("raises", "sends nothing", "fork fails", "pipe fails")
+        ],
+    )
+    def test_lost_share_is_walked_here(self, failure, user, karate):
         parent = os.getpid()
         source_bits = searchinfo._source_bits
 
-        def raising_in_children(g, s):
+        def raising_in_children(g, s):  # each child's first trial walks a skeleton
             if os.getpid() != parent:
                 raise RuntimeError("walker failed")
             return source_bits(g, s)
@@ -338,42 +391,45 @@ class TestForkedWorkers:
         def no_pipe():
             raise OSError(errno.EMFILE, "Too many open files")
 
+        want = serial_run(user, karate)
         with forking() as mp:
             if failure == "raises":
                 mp.setattr(searchinfo, "_source_bits", raising_in_children)
             elif failure == "sends nothing":
-                mp.setattr(searchinfo, "_walk_share", lambda g, sources, write_end: os._exit(0))
+                mp.setattr(searchinfo, "_send_share", lambda item, share, write_end: os._exit(0))
             elif failure == "fork fails":
                 mp.setattr(os, "fork", no_fork)
             else:
                 mp.setattr(os, "pipe", no_pipe)
-            bits = searchinfo._all_source_bits(karate)
-        assert hexes(bits) == hexes(serial_bits(karate))
+            got = run_user(user, karate)
+        assert got == want
         self.assert_no_child_left()
 
-    def test_no_fork_beside_another_thread(self, karate):
+    @pytest.mark.parametrize("user", USERS)
+    def test_no_fork_beside_another_thread(self, user, karate):
         def refuse():
             raise AssertionError("forked beside a live thread")
 
+        want = serial_run(user, karate)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
         try:
             with forking() as mp:
                 mp.setattr(os, "fork", refuse)
-                bits = searchinfo._all_source_bits(karate)
+                got = run_user(user, karate)
         finally:
             release.set()
             other.join(timeout=60)
         assert not other.is_alive()
-        assert hexes(bits) == hexes(serial_bits(karate))
+        assert got == want
 
     def test_worker_count_from_cpus_and_work(self, monkeypatch):
-        # an n-ring has N*L = n^2, just above k times the break-even work
+        # one worker per CPU, but none with less than the break-even work
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        work = searchinfo.FORK_BREAK_EVEN_WORK
-        rings = [ns.gen_ring(math.isqrt(k * work) + 1) for k in range(1, 6)]
-        assert [searchinfo._worker_count(g) for g in rings] == [1, 2, 3, 4, 4]
+        break_even = searchinfo.FORK_BREAK_EVEN_WORK
+        work = [k * break_even for k in range(1, 6)] + [2 * break_even - 1]
+        assert [searchinfo._worker_count(w) for w in work] == [1, 2, 3, 4, 4, 1]
 
     @staticmethod
     def run_forking(script: str, *argv: str) -> list[str]:
@@ -406,6 +462,26 @@ class TestForkedWorkers:
             "print(code, len(forks), 'multiprocessing' in sys.modules)\n"
         )
         assert self.run_forking(script, str(edges)) == ["0", "1", "False"]
+
+    def test_forked_minimize_stdout_is_serial(self, tmp_path):
+        # each minimize runs on one CPU, then shares its trials with one child
+        edges = tmp_path / "chords.edges"
+        edges.write_text(ns.write_edge_list(tree_with_chords(120, 20, 3)), encoding="utf-8")
+        script = (
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            "outs = {}\n"
+            "for fmt in ('json', 'csv'):\n"
+            "    for cpus in ({0}, {0, 1}):\n"
+            "        os.sched_getaffinity = lambda pid: cpus\n"
+            "        out = io.StringIO()\n"
+            "        argv = ['minimize', sys.argv[1], '--trials', '40', '--format', fmt]\n"
+            "        assert cli.run(argv, io.StringIO(), out, sys.stderr) == 0\n"
+            "        outs.setdefault(fmt, []).append(out.getvalue())\n"
+            "        print(len(forks))\n"
+            "print(*(len(set(o)) for o in outs.values()), 'multiprocessing' in sys.modules)\n"
+        )
+        assert self.run_forking(script, str(edges)) == ["0", "1", "1", "2", "1", "1", "False"]
 
     def test_parent_failure_reaps_a_child_blocked_on_its_pipe(self):
         # the child's share of 10,000 values overfills its pipe, so it can
