@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import NetskelError
 from .graph import Graph, Link, require_connected
-from .searchinfo import _all_source_bits, _forest_total_bits, _spread, _worker_count
+from .searchinfo import _all_source_bits, _forest_total_bits, _spread
 from .seeding import derive_seed
 
 
@@ -174,10 +174,10 @@ def _network(
     )
 
 
-def skeleton_bits(skeleton: Graph, spread: bool = True) -> float:
+def skeleton_bits(skeleton: Graph) -> float:
     """Total search information of a skeleton (connected by construction, so not
-    re-checked); its sources are walked in this process alone unless spread."""
-    return math.fsum(_all_source_bits(skeleton, spread))
+    re-checked)."""
+    return math.fsum(_all_source_bits(skeleton))
 
 
 def _supernode_bits(node_count: int, internal_links: Iterable[Link]) -> list[float]:
@@ -208,17 +208,6 @@ def _info(h_skeleton: float, h_super: list[float]) -> SimplifiedSearchInfo:
     )
 
 
-def _score_word(nodes: int, h_skeleton: float, h_super: float) -> str:
-    """A trial's score as one word of text that round-trips exactly."""
-    return f"{nodes},{h_skeleton.hex()},{h_super.hex()}"
-
-
-def _parse_score(word: str) -> tuple[int, float, float]:
-    """The score that _score_word wrote."""
-    nodes, h_skeleton, h_super = word.split(",")
-    return int(nodes), float.fromhex(h_skeleton), float.fromhex(h_super)
-
-
 def _rebuild(
     g: Graph, seed: int, sample: ContractionSample
 ) -> tuple[SimplifiedNetwork, SimplifiedSearchInfo]:
@@ -238,19 +227,14 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     pass. Ties keep the lowest trial index; only the best and worst
     networks are built, by merging their orders again.
 
-    When the trials' work (TRIAL_WORK_PER_LINK per link each) pays for
-    k > 1 processes and there are at least k trials, the trials are shared
-    among k processes (searchinfo._spread), each with its own memo and
-    walking its skeletons alone; scores come back as float.hex text, so
-    the result is the serial one bit for bit. Otherwise the trials run here
-    and a large skeleton's walks may be spread instead.
+    The trials may be shared among processes (searchinfo._spread), with
+    TRIAL_WORK_PER_LINK of work per trial and link; every process keeps its
+    own memo. Scores come back as float.hex text, so the result is the serial
+    one bit for bit.
     """
     if trials < 1:
         raise NetskelError(f"trials must be positive, got {trials}")
     require_connected(g)
-    workers = _worker_count(trials * g.link_count * TRIAL_WORK_PER_LINK)
-    if workers > trials:
-        workers = 1
     # Few distinct skeletons recur over many trials, so each one's H is
     # computed once. Super-nodes are numbered by their minimum member and
     # skeleton links are sorted, so equal keys mean equal graphs. The links are
@@ -259,25 +243,24 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     # adds about 0.25 MiB of peak RSS).
     skeleton_memo: dict[tuple[int, str], float] = {}
 
-    def score(trial: int) -> tuple[int, float, float]:
-        """The trial's skeleton nodes, skeleton H and super-node H total."""
+    def score(trial: int) -> str:
+        """The trial's skeleton nodes, skeleton H and super-node H total, as
+        one word of text that round-trips exactly."""
         _, group_count, accepted, links = _merge(g, order_links_random(g, derive_seed(seed, trial)))
         key = (group_count, " ".join(map(str, chain.from_iterable(links))))
         h_skeleton = skeleton_memo.get(key)
         if h_skeleton is None:
-            skeleton = _skeleton(group_count, links)
-            h_skeleton = skeleton_memo[key] = skeleton_bits(skeleton, spread=workers < 2)
-        return group_count, h_skeleton, sum(_supernode_bits(g.node_count, accepted))
+            h_skeleton = skeleton_memo[key] = skeleton_bits(_skeleton(group_count, links))
+        h_super = sum(_supernode_bits(g.node_count, accepted))
+        return f"{group_count},{h_skeleton.hex()},{h_super.hex()}"
 
-    if workers < 2:
-        scores = [score(trial) for trial in range(trials)]
-    else:
-        words = _spread(trials, workers, lambda t: _score_word(*score(t)))
-        scores = [_parse_score(word) for word in words]
-    samples = tuple(
-        ContractionSample(trial, nodes, h_skeleton, h_super, h_skeleton + h_super)
-        for trial, (nodes, h_skeleton, h_super) in enumerate(scores)
-    )
+    words = _spread(trials, trials * g.link_count * TRIAL_WORK_PER_LINK, score)
+    samples = []
+    for trial, word in enumerate(words):
+        nodes, *bits = word.split(",")
+        h_skeleton, h_super = map(float.fromhex, bits)
+        h_simp = h_skeleton + h_super
+        samples.append(ContractionSample(trial, int(nodes), h_skeleton, h_super, h_simp))
     best = min(samples, key=lambda sample: sample.h_simp)  # the first of ties
     worst = max(samples, key=lambda sample: sample.h_simp)
     best_network, best_info = _rebuild(g, seed, best)
@@ -289,5 +272,5 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
         worst=worst_network,
         worst_info=worst_info,
         worst_trial=worst.trial,
-        samples=samples,
+        samples=tuple(samples),
     )

@@ -25,9 +25,16 @@ UNREACHABLE = -1
 UNDERFLOW_THRESHOLD = 1e-300
 
 # The share of N*L below which a forked worker costs more than it saves:
-# walking all sources costs about N*L, and on a 2-CPU machine two workers
-# broke even at N*L of 3e5 to 5e5 (the sweep in BENCH_11.json).
+# walking all sources costs about N*L. On a 2-CPU machine two workers broke
+# even at N*L of 3e5 to 5e5 in the sweeps of BENCH_11.json, but at about 3e4
+# on a quiet VM in the walk sweep of BENCH_14.json. The value stays until
+# the break-even is measured again over several days.
 FORK_BREAK_EVEN_WORK = 250_000
+
+# True while a _spread shares its items: in this process until its children
+# are reaped, and in every child, which inherits it. A _spread called from
+# an item then runs its own items where it is, so no share forks again.
+_sharing = False
 
 
 class SearchInfoReport(NamedTuple):
@@ -170,18 +177,28 @@ def _send_share(item: Callable[[int], str], share: range, write_end: int) -> NoR
         os._exit(status)
 
 
-def _spread(count: int, workers: int, item: Callable[[int], str]) -> list[str]:
-    """[item(i) for i in range(count)], shared among workers >= 2 processes.
+def _spread(count: int, work: int, item: Callable[[int], str]) -> list[str]:
+    """[item(i) for i in range(count)], where work (in N*L units) is what
+    all the items cost: shared among k = _worker_count(work) processes if
+    2 <= k <= count and no _spread is sharing already, else run here. With
+    fewer items than processes, the items run here, so each may spread its
+    own inner work instead.
 
     Children forked here take the shares i, i+k, i+2k, ... for i = 1..k-1
-    (k = workers) and send their items back over a pipe, while this process
-    takes 0, k, 2k, ...; an item is one word of ASCII text, such as a
-    float.hex, which round-trips exactly. The share of a child that gets no
-    pipe, cannot be forked, exits nonzero or sends too few words is done
-    here. Every child is reaped before this returns or raises.
+    and send their items back over a pipe, while this process takes 0, k,
+    2k, ...; an item is one word of ASCII text, such as a float.hex, which
+    round-trips exactly. The share of a child that gets no pipe, cannot be
+    forked, exits nonzero or sends too few words is done here, once every
+    child is reaped, so its items may spread again. Every child is reaped
+    before this returns or raises.
     """
+    global _sharing
+    workers = 1 if _sharing else _worker_count(work)
+    if not 2 <= workers <= count:
+        return [item(i) for i in range(count)]
     children = []  # (pid, read end of its pipe, its share)
     local = [range(0, count, workers)]  # the shares done in this process
+    _sharing = True
     try:
         for first in range(1, workers):
             share = range(first, count, workers)
@@ -204,6 +221,7 @@ def _spread(count: int, workers: int, item: Callable[[int], str]) -> list[str]:
             items[share.start :: workers] = map(item, share)
         texts = [pipe.read().decode("ascii").split() for _, pipe, _ in children]
     finally:
+        _sharing = False
         for _, pipe, _ in children:
             pipe.close()  # a child still writing gets EPIPE and exits
         statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
@@ -213,18 +231,14 @@ def _spread(count: int, workers: int, item: Callable[[int], str]) -> list[str]:
     return items
 
 
-def _all_source_bits(g: Graph, spread: bool = True) -> list[float]:
+def _all_source_bits(g: Graph) -> list[float]:
     """_source_bits of every source of a connected graph, in index order.
 
-    Unless spread is False, the sources are shared among _worker_count
-    processes (_spread), which send their bits as float.hex text; the list
-    is the serial one bit for bit.
+    The sources may be shared among processes (_spread), which send their
+    bits as float.hex text; the list is the serial one bit for bit.
     """
     n = g.node_count
-    workers = _worker_count(n * g.link_count) if spread else 1
-    if workers < 2:
-        return [_source_bits(g, s) for s in range(n)]
-    words = _spread(n, workers, lambda s: float.hex(_source_bits(g, s)))
+    words = _spread(n, n * g.link_count, lambda s: float.hex(_source_bits(g, s)))
     return list(map(float.fromhex, words))
 
 

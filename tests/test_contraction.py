@@ -406,7 +406,7 @@ class TestSkeletonMemo:
         bits = contraction.skeleton_bits
         pin_to_one_cpu(monkeypatch)
         monkeypatch.setattr(
-            contraction, "skeleton_bits", lambda sk, **spread: calls.append(sk) or bits(sk, **spread)
+            contraction, "skeleton_bits", lambda sk: calls.append(sk) or bits(sk)
         )
         ns.minimize_h_simp(karate, 500, 42)
         distinct = set()

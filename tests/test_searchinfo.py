@@ -338,7 +338,7 @@ def serial_run(user: str, g: ns.Graph):
 class TestForkedWorkers:
     """_all_source_bits and minimize_h_simp spread over forked children equal
     their serial results bit for bit, recover every lost share and leave no
-    child behind."""
+    child behind; a _spread inside another's share forks nothing."""
 
     @staticmethod
     def assert_no_child_left():
@@ -423,6 +423,49 @@ class TestForkedWorkers:
             other.join(timeout=60)
         assert not other.is_alive()
         assert got == want
+
+    def test_nested_spread_runs_in_its_share(self, tmp_path):
+        # the children inherit the counting fork and report any call to a file
+        parent, forks, fork = os.getpid(), [], os.fork
+        nested = tmp_path / "nested"
+
+        def counting_fork():
+            if os.getpid() != parent:
+                nested.write_text("forked in a worker")
+            forks.append(None)
+            return fork()
+
+        def inner(i):
+            return ",".join(searchinfo._spread(4, 100, lambda j: str(4 * i + j)))
+
+        with forking() as mp:
+            mp.setattr(os, "fork", counting_fork)
+            got = searchinfo._spread(6, 100, inner)
+        assert got == [",".join(str(4 * i + j) for j in range(4)) for i in range(6)]
+        assert len(forks) == 2
+        assert not nested.exists()
+        self.assert_no_child_left()
+
+    def test_failed_share_lets_the_next_call_fork(self, karate):
+        parent, forks, fork = os.getpid(), [], os.fork
+        source_bits = searchinfo._source_bits
+
+        def raising_here(g, s):
+            if os.getpid() == parent:
+                raise RuntimeError("walker failed")
+            return source_bits(g, s)
+
+        with forking() as mp:
+            mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+            mp.setattr(searchinfo, "_source_bits", raising_here)
+            with pytest.raises(RuntimeError, match="walker failed"):
+                searchinfo._all_source_bits(karate)
+            self.assert_no_child_left()
+            mp.setattr(searchinfo, "_source_bits", source_bits)
+            bits = searchinfo._all_source_bits(karate)
+        assert len(forks) == 4
+        assert hexes(bits) == hexes(serial_bits(karate))
+        self.assert_no_child_left()
 
     def test_worker_count_from_cpus_and_work(self, monkeypatch):
         # one worker per CPU, but none with less than the break-even work
