@@ -51,8 +51,9 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _emit_csv(header: str, rows, out: IO[str]) -> None:
-    out.write(header + "\n")
+def _emit_csv(rows, out: IO[str]) -> None:
+    """NamedTuple rows (at least one) under a header of their field names."""
+    out.write(",".join(rows[0]._fields) + "\n")
     for row in rows:
         out.write(
             ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
@@ -108,12 +109,9 @@ def _simplification_dict(
     }
 
 
-def _ordered_links(g: graph.Graph, strategy: str, seed: int) -> list[graph.Link]:
-    from . import contraction
-
-    if strategy == "degree":
-        return contraction.order_links_degree(g)
-    return contraction.order_links_random(g, seed)
+def _emit_dot(simp: contraction.SimplifiedNetwork, out: IO[str]) -> None:
+    """The skeleton, each super-node sized by its member count."""
+    out.write(graph.to_dot(simp.skeleton, [len(sn.members) for sn in simp.supernodes]))
 
 
 def _cmd_info(args, stdin, stdout) -> int:
@@ -179,10 +177,13 @@ def _cmd_contract(args, stdin, stdout) -> int:
     from . import contraction
 
     g = _read_graph(args.input, stdin)
-    simp = contraction.tree_contract(g, _ordered_links(g, args.strategy, args.seed))
+    if args.strategy == "degree":
+        order = contraction.order_links_degree(g)
+    else:
+        order = contraction.order_links_random(g, args.seed)
+    simp = contraction.tree_contract(g, order)
     if args.format == "dot":
-        weights = [len(sn.members) for sn in simp.supernodes]
-        stdout.write(graph.to_dot(simp.skeleton, weights))
+        _emit_dot(simp, stdout)
         return EXIT_OK
     info = contraction.simplified_search_information(simp)
     _emit_json(_simplification_dict(simp, info, None), stdout)
@@ -195,15 +196,10 @@ def _cmd_minimize(args, stdin, stdout) -> int:
     g = _read_graph(args.input, stdin)
     result = contraction.minimize_h_simp(g, args.trials, args.seed)
     if args.format == "csv":
-        rows = (
-            (s.trial, s.skeleton_nodes, s.h_skeleton, s.h_supernodes, s.h_simp)
-            for s in result.samples
-        )
-        _emit_csv("trial,skeleton_nodes,h_skeleton,h_supernodes,h_simp", rows, stdout)
+        _emit_csv(result.samples, stdout)
         return EXIT_OK
     if args.format == "dot":
-        weights = [len(sn.members) for sn in result.best.supernodes]
-        stdout.write(graph.to_dot(result.best.skeleton, weights))
+        _emit_dot(result.best, stdout)
         return EXIT_OK
     _emit_json(
         {
@@ -226,14 +222,7 @@ def _cmd_estimate(args, stdin, stdout) -> int:
         contraction.skeleton_bits(skeleton), skeleton.node_count, g.node_count, constants
     )
     _emit_json(
-        {
-            "n_original": g.node_count,
-            "n_skeleton": skeleton.node_count,
-            "h_skeleton": est.h_skeleton,
-            "ratio": est.ratio,
-            "estimate_bits": est.estimate_bits,
-            "low_confidence": est.low_confidence,
-        },
+        {"n_original": g.node_count, "n_skeleton": skeleton.node_count, **est._asdict()},
         stdout,
     )
     return EXIT_OK
@@ -272,25 +261,11 @@ def _cmd_tree_scaling(args, stdin, stdout) -> int:
         args.min, args.max, args.step, args.samples, args.seed
     )
     if args.format == "csv":
-        _emit_csv(
-            "n,mean_bits,std_bits,samples",
-            ((r.n, r.mean_bits, r.std_bits, r.samples) for r in rows),
-            stdout,
-        )
+        _emit_csv(rows, stdout)
         return EXIT_OK
     doc = {
-        "rows": [
-            {"n": r.n, "mean_bits": r.mean_bits, "std_bits": r.std_bits, "samples": r.samples}
-            for r in rows
-        ],
-        "fit": None
-        if fit is None
-        else {
-            "amplitude": fit.amplitude,
-            "exponent": fit.exponent,
-            "r_squared": fit.r_squared,
-            "n_points": len(rows),
-        },
+        "rows": [r._asdict() for r in rows],
+        "fit": None if fit is None else {**fit._asdict(), "n_points": len(rows)},
     }
     _emit_json(doc, stdout)
     return EXIT_OK
@@ -390,10 +365,7 @@ def run(
         return EXIT_USAGE_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, stdin, stdout)
-    except NetskelError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_DOMAIN_ERROR
-    except OSError as exc:
+    except (NetskelError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_DOMAIN_ERROR
 

@@ -134,6 +134,7 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
             nw.discard(rv)
             nw.add(ru)
         large |= small
+        neigh[rv] = None  # rv is no longer a root, so nothing reads its set again
         accepted.append((u, v))
 
     index: dict[int, int] = {}

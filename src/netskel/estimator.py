@@ -95,7 +95,16 @@ def estimate_h_from_skeleton(
     if not 0 <= h_skeleton < math.inf:
         raise NetskelError(f"h_skeleton must be finite and non-negative, got {h_skeleton}")
     ratio = n_skeleton / n_original
-    return c.inverse_amplitude * ratio ** (-c.inverse_exponent) * h_skeleton
+    try:
+        bits = c.inverse_amplitude * ratio ** (-c.inverse_exponent) * h_skeleton
+    except OverflowError:
+        bits = math.inf
+    if not math.isfinite(bits):
+        raise NetskelError(
+            f"estimate is not finite with inverse_amplitude={c.inverse_amplitude} "
+            f"and inverse_exponent={c.inverse_exponent}"
+        )
+    return bits
 
 
 def skeleton_estimate(

@@ -8,9 +8,12 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netskel as ns
 from netskel import cli
@@ -50,6 +53,16 @@ def connected_gnm_text(n, m, seed):
         g = ns.Graph.from_links(n, sorted(links))
         if ns.is_connected(g):
             return ns.write_edge_list(g)
+
+
+KARATE_TEXT = (resources.files("netskel") / "data/karate.edges").read_text()
+PATH4 = "0 1\n1 2\n2 3\n"
+# a 6-ring with a 3-link path between the opposite nodes 0 and 3
+RING6_PATH = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 6\n6 7\n7 3\n"
+
+
+def reject_constant(name):
+    raise ValueError(f"JSON holds {name}")
 
 
 class Discard(io.TextIOBase):
@@ -270,6 +283,44 @@ class TestPipelines:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "inverse_exponent" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text,constants",
+        [
+            (PATH4, ["inverse_exponent=1e308"]),
+            (PATH4, ["inverse_exponent=100", "inverse_amplitude=1e300"]),
+            (RING6_PATH, ["inverse_exponent=1000", "inverse_amplitude=1e300"]),
+        ],
+        ids=["overflow", "nan", "infinity"],
+    )
+    def test_estimate_refuses_non_finite_estimate(self, text, constants):
+        argv = ["estimate", "-"] + [f"--constants={pair}" for pair in constants]
+        code, out, err = invoke(argv, text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: estimate is not finite")
+        assert len(err.splitlines()) == 1
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        graph_name=st.sampled_from(["karate", "path4", "ring6_path"]),
+        amplitude=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        exponent=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_estimate_constants_keep_the_cli_contract(self, graph_name, amplitude, exponent):
+        """Any finite constants give parseable JSON without NaN or Infinity,
+        or one error line with exit 1."""
+        text = {"karate": KARATE_TEXT, "path4": PATH4, "ring6_path": RING6_PATH}[graph_name]
+        argv = [
+            "estimate", "-",
+            f"--constants=inverse_amplitude={amplitude!r}",
+            f"--constants=inverse_exponent={exponent!r}",
+        ]
+        code, out, err = invoke(argv, text)
+        if code == 0:
+            json.loads(out, parse_constant=reject_constant)
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_randomize_round_trip(self, karate, karate_path):
         code, out, _ = invoke(["randomize", karate_path, "--seed", "3"])

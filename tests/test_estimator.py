@@ -98,6 +98,22 @@ class TestEstimateFromSkeleton:
         c = ns.ScalingConstants(inverse_amplitude=2.0, inverse_exponent=1.0)
         assert ns.estimate_h_from_skeleton(10.0, 25, 50, c) == pytest.approx(40.0)
 
+    @pytest.mark.parametrize(
+        "h_skeleton,n_skeleton,n_original,constants",
+        [
+            (0.0, 1, 4, {"inverse_exponent": 1e308}),  # the power overflows
+            (0.0, 1, 4, {"inverse_exponent": 100, "inverse_amplitude": 1e300}),  # inf * 0
+            (15.5, 4, 8, {"inverse_exponent": 1000, "inverse_amplitude": 1e300}),  # inf
+        ],
+        ids=["overflow", "nan", "infinity"],
+    )
+    def test_rejects_non_finite_estimate(self, h_skeleton, n_skeleton, n_original, constants):
+        c = ns.ScalingConstants(**constants)
+        with pytest.raises(NetskelError, match="not finite"):
+            ns.estimate_h_from_skeleton(h_skeleton, n_skeleton, n_original, c)
+        with pytest.raises(NetskelError, match="not finite"):
+            ns.skeleton_estimate(h_skeleton, n_skeleton, n_original, c)
+
 
 class TestApproxHTree:
     def test_n1(self):
