@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import NetskelError
 from .graph import Graph, Link, require_connected
@@ -96,15 +96,16 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
 def degree_skeleton(g: Graph) -> Graph:
     """The skeleton of tree_contract in degree order, without its super-nodes."""
     require_connected(g)
-    _, group_count, _, links = _merge(g, order_links_degree(g))
+    _, group_count, links = _merge(g, order_links_degree(g))
     return _skeleton(group_count, links)
 
 
-def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link], list[Link]]:
+def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link]]:
     """The merge pass of tree_contract on a connected graph and a permutation
-    of its links: each node's super-node, the super-node count, the
-    accepted links in merge order and the skeleton's links, sorted.
-    Super-nodes are numbered by their minimum member."""
+    of its links: each node's super-node, the super-node count and the
+    skeleton's links, sorted. Super-nodes are numbered by their minimum member.
+    At most one link joins two super-nodes, so no link is read inside one, and a
+    super-node's internal links are all of g's links between its members."""
     parent = list(range(g.node_count))
 
     def find(x: int) -> int:
@@ -114,11 +115,8 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
         return x
 
     neigh = [set(adj) for adj in g.adjacency]
-    accepted: list[Link] = []
     for u, v in order:
         ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
         large, small = neigh[ru], neigh[rv]
         if len(large) < len(small):
             ru, rv, large, small = rv, ru, small, large
@@ -135,13 +133,12 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
             nw.add(ru)
         large |= small
         neigh[rv] = None  # rv is no longer a root, so nothing reads its set again
-        accepted.append((u, v))
 
     index: dict[int, int] = {}
     membership = tuple([index.setdefault(find(u), len(index)) for u in range(g.node_count)])
     # a live root's neighbors are live roots: the skeleton's adjacency
     links = sorted((i, index[w]) for r, i in index.items() for w in neigh[r] if i < index[w])
-    return membership, len(index), accepted, links
+    return membership, len(index), links
 
 
 def _skeleton(group_count: int, links: list[Link]) -> Graph:
@@ -153,7 +150,6 @@ def _network(
     g: Graph,
     membership: tuple[int, ...],
     group_count: int,
-    accepted: list[Link],
     links: list[Link],
 ) -> SimplifiedNetwork:
     """The SimplifiedNetwork of a _merge result."""
@@ -161,8 +157,9 @@ def _network(
     for node, grp in enumerate(membership):
         members[grp].append(node)
     internal: list[list[Link]] = [[] for _ in range(group_count)]
-    for link in sorted(accepted):
-        internal[membership[link[0]]].append(link)
+    for u, v in g.links:
+        if membership[u] == membership[v]:
+            internal[membership[u]].append((u, v))
     supernodes = tuple(
         SuperNode(members=tuple(m), internal_links=tuple(links))
         for m, links in zip(members, internal)
@@ -181,21 +178,21 @@ def skeleton_bits(skeleton: Graph) -> float:
     return math.fsum(_all_source_bits(skeleton))
 
 
-def _supernode_bits(node_count: int, internal_links: Iterable[Link]) -> list[float]:
+def _supernode_bits(g: Graph, membership: tuple[int, ...]) -> list[float]:
     """H of each super-node's tree, by super-node index: one pass over the forest
     of internal links, whose trees come in order of minimum node as super-nodes do."""
-    forest: list[list[int]] = [[] for _ in range(node_count)]
-    for u, v in internal_links:
-        forest[u].append(v)
-        forest[v].append(u)
+    forest: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, v in g.links:
+        if membership[u] == membership[v]:
+            forest[u].append(v)
+            forest[v].append(u)
     return _forest_total_bits(forest)
 
 
 def simplified_search_information(s: SimplifiedNetwork) -> SimplifiedSearchInfo:
     """H_simp = H of the skeleton plus H of each super-node tree in isolation,
     from the exact O(N) tree total (every super-node is a tree)."""
-    internal = chain.from_iterable(sn.internal_links for sn in s.supernodes)
-    return _info(skeleton_bits(s.skeleton), _supernode_bits(s.original.node_count, internal))
+    return _info(skeleton_bits(s.skeleton), _supernode_bits(s.original, s.membership))
 
 
 def _info(h_skeleton: float, h_super: list[float]) -> SimplifiedSearchInfo:
@@ -214,7 +211,7 @@ def _rebuild(
 ) -> tuple[SimplifiedNetwork, SimplifiedSearchInfo]:
     """The network and info of a minimize sample, by merging its order again."""
     merged = _merge(g, order_links_random(g, derive_seed(seed, sample.trial)))
-    h_super = _supernode_bits(g.node_count, merged[2])
+    h_super = _supernode_bits(g, merged[0])
     return _network(g, *merged), _info(sample.h_skeleton, h_super)
 
 
@@ -247,12 +244,12 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     def score(trial: int) -> str:
         """The trial's skeleton nodes, skeleton H and super-node H total, as
         one word of text that round-trips exactly."""
-        _, group_count, accepted, links = _merge(g, order_links_random(g, derive_seed(seed, trial)))
+        membership, group_count, links = _merge(g, order_links_random(g, derive_seed(seed, trial)))
         key = (group_count, " ".join(map(str, chain.from_iterable(links))))
         h_skeleton = skeleton_memo.get(key)
         if h_skeleton is None:
             h_skeleton = skeleton_memo[key] = skeleton_bits(_skeleton(group_count, links))
-        h_super = sum(_supernode_bits(g.node_count, accepted))
+        h_super = sum(_supernode_bits(g, membership))
         return f"{group_count},{h_skeleton.hex()},{h_super.hex()}"
 
     words = _spread(trials, trials * g.link_count * TRIAL_WORK_PER_LINK, score)

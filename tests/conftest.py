@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import random
 import sys
@@ -6,12 +7,17 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 import netskel as ns
 from netskel import searchinfo
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every property test draws the same examples on every run (seeded from the
+# test function) and has no deadline; its @settings give only its example count.
+settings.register_profile("netskel", derandomize=True, deadline=None)
+settings.load_profile("netskel")
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +64,35 @@ def connected_graphs(draw) -> ns.Graph:
         return ns.gen_ring(draw(st.integers(3, 80)))
     n = draw(st.integers(3, 60))
     return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])
+
+
+def deep_diamond_chain(k: int = 400, p: int = 6) -> ns.Graph:
+    """Hubs 0..k; hub i -> a_i, b_i -> hub i+1; p pendant leaves on every
+    a_i/b_i. From hub 0 the 2^k shortest paths to hub k give
+    2^(k-1) / (3^(k-1) (1+p)^k), about 2^-1356 at the defaults, so the
+    kernel must fall back to log space and sum two predecessors at every hub."""
+    links, nxt = [], k + 1
+    for i in range(k):
+        for mid in (nxt, nxt + 1 + p):
+            links += [(i, mid), (mid, i + 1)] + [(mid, mid + 1 + j) for j in range(p)]
+        nxt += 2 * (1 + p)
+    return ns.Graph.from_links(nxt, links)
+
+
+@st.composite
+def underflowing_diamond_chains(draw) -> tuple[ns.Graph, int]:
+    """A deep_diamond_chain and its last hub k, with 4-8 pendants per middle
+    node and k a few levels past where the walk probability from hub 0 or
+    hub k drops below searchinfo.UNDERFLOW_THRESHOLD (each level divides it
+    by 3(1+p)/2), plus up to three chords, each joining a level's two middle
+    nodes: they lie at one distance from either end, so no path shortens."""
+    p = draw(st.integers(4, 8))
+    k = math.ceil(-math.log2(searchinfo.UNDERFLOW_THRESHOLD) / math.log2(3 * (1 + p) / 2))
+    k += draw(st.integers(0, 3))
+    g = deep_diamond_chain(k, p)
+    levels = draw(st.lists(st.integers(0, k - 1), max_size=3, unique=True))
+    chords = [(k + 1 + 2 * (1 + p) * i, k + 2 + p + 2 * (1 + p) * i) for i in levels]
+    return ns.Graph.from_links(g.node_count, list(g.links) + chords), k
 
 
 @contextlib.contextmanager

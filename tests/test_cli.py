@@ -300,7 +300,7 @@ class TestPipelines:
         assert err.startswith("error: estimate is not finite")
         assert len(err.splitlines()) == 1
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(
         graph_name=st.sampled_from(["karate", "path4", "ring6_path"]),
         amplitude=st.floats(min_value=0, exclude_min=True, allow_infinity=False),

@@ -150,13 +150,14 @@ class TestTreeContract:
                 assert [(s.members, s.internal_links) for s in simp.supernodes] == supernodes
                 assert list(simp.skeleton.links) == skeleton_links
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(connected_graphs(), st.integers(0, 2**30))
     def test_matches_reference_on_corpus(self, g, seed):
         """On three random orders and the degree order: membership, super-nodes
         and skeleton links as in the copy-on-merge reference, the skeleton is
-        the quotient of the membership and keeps the cyclomatic number, and
-        degree_skeleton is the degree order's skeleton."""
+        the quotient of the membership and keeps the cyclomatic number, every
+        super-node is a spanning tree of its members (check_simplified_invariants),
+        and degree_skeleton is the degree order's skeleton."""
         orders = [ns.order_links_random(g, derive_seed(seed, t)) for t in range(3)]
         for order in orders + [ns.order_links_degree(g)]:
             simp = ns.tree_contract(g, order)
@@ -166,6 +167,7 @@ class TestTreeContract:
             assert list(simp.skeleton.links) == skeleton_links
             assert simp.skeleton == quotient_graph(g, simp.membership)
             assert ns.cyclomatic_number(simp.skeleton) == ns.cyclomatic_number(g)
+            check_simplified_invariants(g, simp)
         assert contraction.degree_skeleton(g) == simp.skeleton
 
     def test_degree_skeleton_rejects_disconnected(self):
@@ -259,7 +261,7 @@ class TestForestPassMatchesReference:
     """Super-node H from one pass over the forest of internal links against
     one standalone tree graph per super-node (``tests/oracle.py``), bit for bit."""
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(forest_corpus(), st.integers(0, 2**30))
     def test_every_supernode_bitwise(self, g, seed):
         simp = ns.tree_contract(g, ns.order_links_random(g, seed))
@@ -269,7 +271,7 @@ class TestForestPassMatchesReference:
         for net, net_info in ((result.best, result.best_info), (result.worst, result.worst_info)):
             assert hexes(net_info.h_supernodes) == hexes(reference_supernode_bits(net))
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 300), st.integers(0, 2**30))
     def test_single_tree_bitwise(self, n, seed):
         tree = ns.gen_random_tree(n, seed)
@@ -393,7 +395,7 @@ class TestSkeletonMemo:
         assert (result.best, result.best_info) == (simps[best], infos[best])
         assert (result.worst, result.worst_info) == (simps[worst], infos[worst])
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(connected_graphs(), st.integers(0, 2**30))
     def test_matches_unmemoized(self, g, seed):
         self.check_matches_unmemoized(g, 8, seed)
@@ -421,7 +423,7 @@ class TestForkedTrials:
     """minimize_h_simp with its trials shared among forked workers equals the
     serial run bit for bit, and a worker walks its skeletons alone."""
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(connected_graphs(), st.integers(0, 2**30))
     def test_corpus_equals_serial(self, g, seed):
         with forking(cpus=1):

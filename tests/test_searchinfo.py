@@ -8,31 +8,26 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import netskel as ns
 from netskel import contraction, searchinfo
 from netskel.errors import ConnectivityError, NetskelError, UnreachableError
-from conftest import bitwise, connected_graphs, forking, random_connected_graph, tree_with_chords
+from conftest import (
+    bitwise,
+    connected_graphs,
+    deep_diamond_chain,
+    forking,
+    random_connected_graph,
+    tree_with_chords,
+    underflowing_diamond_chains,
+)
 import oracle
 from oracle import (
     brute_force_pair_bits,
     brute_force_total_bits,
     reference_source_log2_probabilities,
 )
-
-
-def deep_diamond_chain(k: int = 400, p: int = 6) -> ns.Graph:
-    """Hubs 0..k; hub i -> a_i, b_i -> hub i+1; p pendant leaves on every
-    a_i/b_i. From hub 0 the 2^k shortest paths to hub k give
-    2^(k-1) / (3^(k-1) (1+p)^k), about 2^-1356 at the defaults, so the
-    kernel must fall back to log space and sum two predecessors at every hub."""
-    links, nxt = [], k + 1
-    for i in range(k):
-        for mid in (nxt, nxt + 1 + p):
-            links += [(i, mid), (mid, i + 1)] + [(mid, mid + 1 + j) for j in range(p)]
-        nxt += 2 * (1 + p)
-    return ns.Graph.from_links(nxt, links)
 
 
 def parts_without(g: ns.Graph, cut: int) -> list[list[int]]:
@@ -202,7 +197,7 @@ class TestExactIdentities:
 
     IDENTITY_BITS = 1e-12
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(connected_graphs())
     def test_reversal(self, g):
         # H(d->s) - H(s->d) = log2 k_d - log2 k_s for every ordered pair
@@ -215,7 +210,7 @@ class TestExactIdentities:
         )
         assert worst <= self.IDENTITY_BITS
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(connected_graphs())
     def test_reversal_row_sums(self, g):
         # per_source_bits[s] - (N-1) log2 k_s = sum over d != s of H(d->s) - log2 k_d
@@ -227,7 +222,7 @@ class TestExactIdentities:
             column = math.fsum(rows[d][s] - log_k[d] for d in range(n) if d != s)
             assert abs(per_source[s] - (n - 1) * log_k[s] - column) <= self.IDENTITY_BITS
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(connected_graphs())
     def test_cut_vertex_identity(self, g):
         # H(s->d) = H(s->a) + H(a->d) - log2 k_a + log2(k_a - 1) wherever
@@ -252,7 +247,7 @@ class TestFusedKernelMatchesReference:
     """The single-pass kernel against the two-pass BFS + DP it replaced
     (``tests/oracle.py``), compared bit for bit."""
 
-    @settings(max_examples=400, derandomize=True, deadline=None)
+    @settings(max_examples=400)
     @given(connected_graphs())
     def test_corpus_rows_bitwise(self, g):
         assert_rows_match_reference(g)
@@ -260,7 +255,7 @@ class TestFusedKernelMatchesReference:
     def test_karate_rows_bitwise(self, karate):
         assert_rows_match_reference(karate)
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(connected_graphs())
     def test_log_row_matches_reference_walk(self, g):
         for s in range(g.node_count):
@@ -286,6 +281,18 @@ class TestFusedKernelMatchesReference:
             assert hexes(searchinfo._source_row(g, s)) == hexes(reference_row(g, s))
         assert walked == [0, k]
 
+    @settings(max_examples=8)
+    @given(underflowing_diamond_chains(), st.integers(0, 2**30))
+    def test_underflow_switch_bitwise(self, chain, seed):
+        """Where the walks from both ends give up, the log-space rows equal the
+        two-pass kernel's and the per-source bits their fsum, bit for bit."""
+        g, k = chain
+        assert searchinfo._walk(g, 0) is None and searchinfo._walk(g, k) is None
+        for s in (0, k, seed % g.node_count):
+            row = searchinfo._source_row(g, s)
+            assert hexes(row) == hexes(reference_row(g, s))
+            assert float.hex(searchinfo._source_bits(g, s)) == float.hex(math.fsum(row))
+
 
 class TestSourceBitsWithoutRows:
     """Per-source totals from the walk's probabilities equal the fsum of the
@@ -297,7 +304,7 @@ class TestSourceBitsWithoutRows:
             want = math.fsum(searchinfo._source_row(g, s))
             assert float.hex(searchinfo._source_bits(g, s)) == float.hex(want)
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(connected_graphs())
     def test_corpus_bitwise(self, g):
         self.assert_bits_match_rows(g, range(g.node_count))
@@ -345,7 +352,7 @@ class TestForkedWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     @given(connected_graphs())
     def test_corpus_bitwise(self, g):
         forks = []
