@@ -74,9 +74,11 @@ def order_links_random(g: Graph, seed: int) -> list[Link]:
 def order_links_degree(g: Graph) -> list[Link]:
     """Links by ascending endpoint degree sum, ties broken lexicographically.
 
-    Weights use the original degrees, fixed before any contraction.
+    Weights use the original degrees, fixed before any contraction. The sort
+    is stable and g.links is sorted, so ties keep their lexicographic order.
     """
-    return sorted(g.links, key=lambda l: (g.degrees[l[0]] + g.degrees[l[1]], l))
+    deg = g.degrees
+    return sorted(g.links, key=lambda l: deg[l[0]] + deg[l[1]])
 
 
 def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
@@ -105,7 +107,11 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
     of its links: each node's super-node, the super-node count and the
     skeleton's links, sorted. Super-nodes are numbered by their minimum member.
     At most one link joins two super-nodes, so no link is read inside one, and a
-    super-node's internal links are all of g's links between its members."""
+    super-node's internal links are all of g's links between its members.
+
+    A root keeps its adjacency tuple from g until it changes, and a set of its
+    neighbouring roots is built only then, so a leaf merged into its neighbour
+    never gets one."""
     parent = list(range(g.node_count))
 
     def find(x: int) -> int:
@@ -114,25 +120,29 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
             x = parent[x]
         return x
 
-    neigh = [set(adj) for adj in g.adjacency]
+    neigh: list = list(g.adjacency)
     for u, v in order:
         ru, rv = find(u), find(v)
         large, small = neigh[ru], neigh[rv]
         if len(large) < len(small):
             ru, rv, large, small = rv, ru, small, large
-        # ru and rv are neighbors and neither is its own, so the sets meet
+        if type(large) is tuple:
+            large = neigh[ru] = set(large)
+        # ru and rv are neighbors and neither is its own, so the two meet
         # exactly in the shared neighbors
         if not large.isdisjoint(small):
             continue  # merge would create a multilink
         parent[rv] = ru
         large.discard(rv)
-        small.discard(ru)
         for w in small:
-            nw = neigh[w]
-            nw.discard(rv)
-            nw.add(ru)
-        large |= small
-        neigh[rv] = None  # rv is no longer a root, so nothing reads its set again
+            if w != ru:
+                nw = neigh[w]
+                if type(nw) is tuple:
+                    nw = neigh[w] = set(nw)
+                nw.discard(rv)
+                nw.add(ru)
+                large.add(w)
+        neigh[rv] = None  # rv is no longer a root, so nothing reads it again
 
     index: dict[int, int] = {}
     membership = tuple([index.setdefault(find(u), len(index)) for u in range(g.node_count)])

@@ -62,17 +62,25 @@ class Graph(NamedTuple):
         labels: Optional[Sequence[str]] = None,
     ) -> "Graph":
         """Build from links that are valid by construction: in range, no
-        self-loop, no duplicate. Only normalizes, sorts and indexes them."""
-        normalized = sorted((u, v) if u < v else (v, u) for u, v in links)
-        neighbors: list[list[int]] = [[] for _ in range(node_count)]
+        self-loop, no duplicate. Only normalizes, sorts and indexes them.
+
+        A link tuple that is already (min, max) is kept as given rather than
+        copied, the links are sorted in place in a list of their own, and
+        each neighbour list is turned into its tuple in place, so the build
+        holds little more than the graph it returns."""
+        normalized = [link if link[0] < link[1] else (link[1], link[0]) for link in links]
+        normalized.sort()
+        neighbors: list = [[] for _ in range(node_count)]
         for u, v in normalized:  # sorted links give sorted neighbor lists
             neighbors[u].append(v)
             neighbors[v].append(u)
+        for i, adj in enumerate(neighbors):
+            neighbors[i] = tuple(adj)
         return cls(
             node_count=node_count,
             links=tuple(normalized),
             labels=tuple(str(i) for i in range(node_count)) if labels is None else tuple(labels),
-            adjacency=tuple(map(tuple, neighbors)),
+            adjacency=tuple(neighbors),
             degrees=tuple(map(len, neighbors)),
         )
 
@@ -87,12 +95,17 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
     Labels get dense indices in first-appearance order. Self-loops and
     duplicate edges are rejected.
     """
-    if isinstance(text, str):
-        lines: Iterable[str] = text.splitlines()
-    else:
-        lines = text
+    labels, links = _parse_edge_list(text)
+    return Graph._trusted(len(labels), links, labels)
+
+
+def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[Link]]:
+    """The labels and the (min, max) links of an edge list, in input order.
+    The line list, the label index and the duplicate set live only in this
+    call, so they are freed before load_edge_list builds the Graph."""
+    lines = text.splitlines() if isinstance(text, str) else text
     index: dict[str, int] = {}  # label -> its index, in first-appearance order
-    links: list[tuple[int, int]] = []
+    links: list[Link] = []
     seen: set[Link] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -114,7 +127,7 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
             )
         seen.add(link)
         links.append(link)
-    return Graph._trusted(len(index), links, tuple(index))
+    return tuple(index), links
 
 
 def write_edge_list(g: Graph) -> str:

@@ -50,6 +50,28 @@ def tree_with_chords(n: int, chords: int, seed: int) -> ns.Graph:
     return ns.Graph.from_links(n, sorted(links))
 
 
+def tree_with_chords_text(n: int, chords: int, seed: int) -> str:
+    """Edge-list text of a random recursive tree on nodes 0..n-1 (node i hangs
+    off a uniform node below it) plus distinct random chords, in shuffled line
+    order and endpoint order, built without netskel."""
+    rng = random.Random(seed)
+    links = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(links) < n - 1 + chords:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            links.add((min(u, v), max(u, v)))
+    lines = [f"{u} {v}\n" if rng.random() < 0.5 else f"{v} {u}\n" for u, v in sorted(links)]
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+@pytest.fixture(scope="session")
+def large_sparse_text() -> str:
+    """A connected tree with 3,000 chords on 20,000 nodes, the size of the
+    benchmark's estimate input."""
+    return tree_with_chords_text(20000, 3000, 7)
+
+
 @st.composite
 def connected_graphs(draw) -> ns.Graph:
     """Trees with chords, ER graphs, rings and stars of up to 80 nodes."""

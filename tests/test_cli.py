@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -63,6 +64,36 @@ RING6_PATH = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 6\n6 7\n7 3\n"
 
 def reject_constant(name):
     raise ValueError(f"JSON holds {name}")
+
+
+# labels with commas, quotes, non-ASCII letters and one that starts a comment
+LABELS = ["a", "b", "c", "d", "e", "f", "x,y", 'q"r', "it's", "é", "日本", "#h"]
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list text: a random tree over a few labels, then up to two extra
+    lines (a comment, a blank, a chord, a self-loop, a duplicate, a link
+    between two new labels, a 1- or 3-token line) at random places, with each
+    line ended by \\n, CRLF, a vertical tab or U+2028."""
+    names = draw(st.permutations(LABELS))[: draw(st.integers(2, 7))]
+    lines = [f"{names[i]} {names[draw(st.integers(0, i - 1))]}" for i in range(1, len(names))]
+    for kind in draw(st.lists(st.sampled_from(range(8)), max_size=2)):
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        extra = [
+            "# a comment, with 'quotes'",
+            "",
+            f"{a} {b}",
+            f"{a} {a}",
+            f"{names[0]} {names[1]}",  # the tree's first line reversed
+            "p1 p2",
+            a,
+            f"{a} {b} {a}",
+        ][kind]
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    line_end = st.sampled_from(["\n", "\r\n", "\x0b", "\u2028"])
+    ends = draw(st.lists(line_end, min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends))
 
 
 class Discard(io.TextIOBase):
@@ -396,6 +427,26 @@ class TestDeterminismAndErrors:
         code, _, err = invoke(["info", "-"], "a b c\n")
         assert code == 1
         assert "line 1" in err
+
+    def test_edge_list_text_keeps_the_cli_contract(self):
+        """info and contract on any edge-list text exit 0 with JSON that holds
+        no NaN or Infinity, or exit 1 with one error line; both happen."""
+        codes = Counter()
+
+        @settings(max_examples=150)
+        @given(text=edge_list_texts(), command=st.sampled_from(["info", "contract"]))
+        def check(text, command):
+            code, out, err = invoke([command, "-"], text)
+            codes[code] += 1
+            if code == 0:
+                json.loads(out, parse_constant=reject_constant)
+                assert err == ""
+            else:
+                assert (code, out) == (1, "")
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+        check()
+        assert set(codes) == {0, 1}
 
 
 class TestStandardLibraryOnly:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import netskel as ns
@@ -47,6 +49,60 @@ class TestLoadEdgeList:
 
     def test_degree_sum_is_twice_links(self, karate):
         assert sum(karate.degrees) == 2 * karate.link_count
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("a b\n# c\nx y z", ParseError, "line 3: expected 2 tokens, got 3: 'x y z'"),
+            ("a b\n  lone  \n", ParseError, "line 2: expected 2 tokens, got 1: 'lone'"),
+            ("a b\nq q\n", ValidationError, "line 2: self-loop on 'q'"),
+            ("a b\nb a\n", ValidationError, "line 2: duplicate edge 'b' -- 'a'"),
+            ('x "é,1"\n"é,1" x\n', ValidationError, "line 2: duplicate edge '\"é,1\"' -- 'x'"),
+        ],
+    )
+    def test_error_messages(self, text, error, message):
+        with pytest.raises(error) as exc:
+            ns.load_edge_list(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_first_bad_line_is_reported(self):
+        # the duplicate on line 2 comes before the 3-token line 4
+        with pytest.raises(ValidationError) as exc:
+            ns.load_edge_list("a b\nb a\nc d\nx y z\n")
+        assert str(exc.value) == "line 2: duplicate edge 'b' -- 'a'"
+
+    @pytest.mark.parametrize(
+        "end", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+    )
+    def test_lines_end_where_str_splitlines_ends_them(self, end):
+        text = end.join(["a b", "b c", "# note", "", "c d"]) + end
+        g = ns.load_edge_list(text)
+        assert g == ns.load_edge_list(text.splitlines())
+        assert g.labels == ("a", "b", "c", "d")
+        assert g.links == ((0, 1), (1, 2), (2, 3))
+        with pytest.raises(ParseError) as exc:
+            ns.load_edge_list(end.join(["a b", "", "x y z"]))
+        assert str(exc.value) == "line 3: expected 2 tokens, got 3: 'x y z'"
+
+    def test_vertical_tab_ends_a_line_not_a_token(self):
+        with pytest.raises(ParseError) as exc:
+            ns.load_edge_list("a\x0bb c\n")
+        assert str(exc.value) == "line 1: expected 2 tokens, got 1: 'a'"
+
+    def test_parse_holds_little_more_than_its_graph(self, large_sparse_text):
+        """The line list, the label index and the duplicate set are freed
+        before the Graph is built, which keeps the parsed link tuples: the
+        peak is about 1.5 times the graph kept, and would be 2.5 times if the
+        parse's structures and fresh link tuples lived through the build."""
+        tracemalloc.start()
+        try:
+            g = ns.load_edge_list(large_sparse_text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.node_count, g.link_count) == (20000, 22999)
+        assert peak <= 1.8 * kept, f"peak {peak / kept:.2f} times the graph"
 
 
 class TestFromLinks:
