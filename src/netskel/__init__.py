@@ -13,7 +13,6 @@ _PUBLIC = {
         "MinimizeResult",
         "SimplifiedNetwork",
         "SimplifiedSearchInfo",
-        "SuperNode",
         "minimize_h_simp",
         "order_links_degree",
         "order_links_random",

@@ -100,7 +100,7 @@ def _simplification_dict(
         "skeleton_nodes": simp.skeleton.node_count,
         "skeleton_edges": [list(l) for l in simp.skeleton.links],
         "supernode_members": [
-            [simp.original.labels[m] for m in sn.members] for sn in simp.supernodes
+            [simp.original.labels[m] for m in members] for members in simp.supernodes
         ],
         "h_skeleton": info.h_skeleton,
         "h_supernodes": list(info.h_supernodes),
@@ -111,7 +111,7 @@ def _simplification_dict(
 
 def _emit_dot(simp: contraction.SimplifiedNetwork, out: IO[str]) -> None:
     """The skeleton, each super-node sized by its member count."""
-    out.write(graph.to_dot(simp.skeleton, [len(sn.members) for sn in simp.supernodes]))
+    out.write(graph.to_dot(simp.skeleton, list(map(len, simp.supernodes))))
 
 
 def _cmd_info(args, stdin, stdout) -> int:
@@ -217,7 +217,7 @@ def _cmd_estimate(args, stdin, stdout) -> int:
 
     g = _read_graph(args.input, stdin)
     constants = _parse_constants(args.constants)
-    skeleton = contraction.degree_skeleton(g)
+    skeleton = contraction.tree_contract(g, contraction.order_links_degree(g)).skeleton
     est = estimator.skeleton_estimate(
         contraction.skeleton_bits(skeleton), skeleton.node_count, g.node_count, constants
     )

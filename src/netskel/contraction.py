@@ -27,16 +27,22 @@ from .seeding import derive_seed
 TRIAL_WORK_PER_LINK = 20
 
 
-class SuperNode(NamedTuple):
-    members: tuple[int, ...]
-    internal_links: tuple[Link, ...]
-
-
 class SimplifiedNetwork(NamedTuple):
+    """A contraction of original: membership is each node's super-node index,
+    and super-node i is node i of skeleton. A super-node's internal links are
+    the links of original between its members, and they form a tree."""
+
     original: Graph
     skeleton: Graph
-    supernodes: tuple[SuperNode, ...]
     membership: tuple[int, ...]
+
+    @property
+    def supernodes(self) -> tuple[tuple[int, ...], ...]:
+        """Each super-node's members, ascending, by super-node index."""
+        members: list[list[int]] = [[] for _ in range(self.skeleton.node_count)]
+        for node, grp in enumerate(self.membership):
+            members[grp].append(node)
+        return tuple(map(tuple, members))
 
 
 class SimplifiedSearchInfo(NamedTuple):
@@ -95,19 +101,13 @@ def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
     return _network(g, *_merge(g, order))
 
 
-def degree_skeleton(g: Graph) -> Graph:
-    """The skeleton of tree_contract in degree order, without its super-nodes."""
-    require_connected(g)
-    _, group_count, links = _merge(g, order_links_degree(g))
-    return _skeleton(group_count, links)
-
-
 def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link]]:
     """The merge pass of tree_contract on a connected graph and a permutation
     of its links: each node's super-node, the super-node count and the
     skeleton's links, sorted. Super-nodes are numbered by their minimum member.
     At most one link joins two super-nodes, so no link is read inside one, and a
-    super-node's internal links are all of g's links between its members.
+    super-node's internal links are all of g's links between its members: the
+    membership holds the whole contraction (SimplifiedNetwork.supernodes).
 
     A root keeps its adjacency tuple from g until it changes, and a set of its
     neighbouring roots is built only then, so a leaf merged into its neighbour
@@ -157,29 +157,10 @@ def _skeleton(group_count: int, links: list[Link]) -> Graph:
 
 
 def _network(
-    g: Graph,
-    membership: tuple[int, ...],
-    group_count: int,
-    links: list[Link],
+    g: Graph, membership: tuple[int, ...], group_count: int, links: list[Link]
 ) -> SimplifiedNetwork:
     """The SimplifiedNetwork of a _merge result."""
-    members: list[list[int]] = [[] for _ in range(group_count)]
-    for node, grp in enumerate(membership):
-        members[grp].append(node)
-    internal: list[list[Link]] = [[] for _ in range(group_count)]
-    for u, v in g.links:
-        if membership[u] == membership[v]:
-            internal[membership[u]].append((u, v))
-    supernodes = tuple(
-        SuperNode(members=tuple(m), internal_links=tuple(links))
-        for m, links in zip(members, internal)
-    )
-    return SimplifiedNetwork(
-        original=g,
-        skeleton=_skeleton(group_count, links),
-        supernodes=supernodes,
-        membership=membership,
-    )
+    return SimplifiedNetwork(g, _skeleton(group_count, links), membership)
 
 
 def skeleton_bits(skeleton: Graph) -> float:

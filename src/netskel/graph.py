@@ -92,8 +92,8 @@ class Graph(NamedTuple):
 def load_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse an edge list: one "LABEL LABEL" pair per line, '#' comments.
 
-    Labels get dense indices in first-appearance order. Self-loops and
-    duplicate edges are rejected.
+    Labels get dense indices in first-appearance order. Self-loops, duplicate
+    edges and a second label that starts with '#' are rejected.
     """
     labels, links = _parse_edge_list(text)
     return Graph._trusted(len(labels), links, labels)
@@ -116,6 +116,8 @@ def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[L
             raise ParseError(
                 f"line {lineno}: expected 2 tokens, got {len(tokens)}: {line!r}"
             )
+        if tokens[1].startswith("#"):  # written first on a line, it would start a comment
+            raise ParseError(f"line {lineno}: label {tokens[1]!r} starts with '#'")
         u = index.setdefault(tokens[0], len(index))
         v = index.setdefault(tokens[1], len(index))
         if u == v:

@@ -88,6 +88,36 @@ def connected_graphs(draw) -> ns.Graph:
     return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])
 
 
+# labels with commas, quotes, non-ASCII letters and one that starts a comment
+LABELS = ["a", "b", "c", "d", "e", "f", "x,y", 'q"r', "it's", "é", "日本", "#h"]
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list text: a random tree over a few labels, then up to two extra
+    lines (a comment, a blank, a chord, a self-loop, a duplicate, a link
+    between two new labels, a 1- or 3-token line) at random places, with each
+    line ended by \\n, CRLF, a vertical tab or U+2028."""
+    names = draw(st.permutations(LABELS))[: draw(st.integers(2, 7))]
+    lines = [f"{names[i]} {names[draw(st.integers(0, i - 1))]}" for i in range(1, len(names))]
+    for kind in draw(st.lists(st.sampled_from(range(8)), max_size=2)):
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        extra = [
+            "# a comment, with 'quotes'",
+            "",
+            f"{a} {b}",
+            f"{a} {a}",
+            f"{names[0]} {names[1]}",  # the tree's first line reversed
+            "p1 p2",
+            a,
+            f"{a} {b} {a}",
+        ][kind]
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    line_end = st.sampled_from(["\n", "\r\n", "\x0b", "\u2028"])
+    ends = draw(st.lists(line_end, min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends))
+
+
 def deep_diamond_chain(k: int = 400, p: int = 6) -> ns.Graph:
     """Hubs 0..k; hub i -> a_i, b_i -> hub i+1; p pendant leaves on every
     a_i/b_i. From hub 0 the 2^k shortest paths to hub k give

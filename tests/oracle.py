@@ -29,7 +29,7 @@ import random
 from collections import deque
 from typing import Sequence
 
-from netskel.contraction import SimplifiedNetwork, SuperNode
+from netskel.contraction import SimplifiedNetwork
 from netskel.errors import ValidationError
 from netskel.graph import Graph, Link
 
@@ -300,18 +300,18 @@ def reference_tree_total_bits(g: Graph) -> float:
     return math.fsum(terms)
 
 
-def supernode_tree(g: Graph, sn: SuperNode) -> Graph:
-    """The internal tree of a super-node as a standalone graph."""
-    local = {node: i for i, node in enumerate(sn.members)}
-    links = [(local[u], local[v]) for u, v in sn.internal_links]
-    return Graph._trusted(len(sn.members), links, tuple(g.labels[m] for m in sn.members))
+def supernode_tree(g: Graph, members: Sequence[int]) -> Graph:
+    """The links of g between the members, as a standalone graph over them."""
+    local = {node: i for i, node in enumerate(members)}
+    links = [(local[u], local[v]) for u in members for v in g.adjacency[u] if u < v and v in local]
+    return Graph._trusted(len(members), links, tuple(g.labels[m] for m in members))
 
 
 def reference_supernode_bits(s: SimplifiedNetwork) -> list[float]:
     """H of each super-node, its tree built as a standalone graph."""
     return [
-        reference_tree_total_bits(supernode_tree(s.original, sn)) if len(sn.members) > 2 else 0.0
-        for sn in s.supernodes
+        reference_tree_total_bits(supernode_tree(s.original, members)) if len(members) > 2 else 0.0
+        for members in s.supernodes
     ]
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import netskel as ns
 from netskel import cli
 from netskel.cli import run
+from conftest import edge_list_texts
 
 
 def invoke(argv, stdin_text=""):
@@ -66,34 +67,24 @@ def reject_constant(name):
     raise ValueError(f"JSON holds {name}")
 
 
-# labels with commas, quotes, non-ASCII letters and one that starts a comment
-LABELS = ["a", "b", "c", "d", "e", "f", "x,y", 'q"r', "it's", "é", "日本", "#h"]
+GRAPH_COMMANDS = ("info", "contract", "minimize", "estimate", "randomize", "search-info")
 
 
 @st.composite
-def edge_list_texts(draw) -> str:
-    """Edge-list text: a random tree over a few labels, then up to two extra
-    lines (a comment, a blank, a chord, a self-loop, a duplicate, a link
-    between two new labels, a 1- or 3-token line) at random places, with each
-    line ended by \\n, CRLF, a vertical tab or U+2028."""
-    names = draw(st.permutations(LABELS))[: draw(st.integers(2, 7))]
-    lines = [f"{names[i]} {names[draw(st.integers(0, i - 1))]}" for i in range(1, len(names))]
-    for kind in draw(st.lists(st.sampled_from(range(8)), max_size=2)):
-        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
-        extra = [
-            "# a comment, with 'quotes'",
-            "",
-            f"{a} {b}",
-            f"{a} {a}",
-            f"{names[0]} {names[1]}",  # the tree's first line reversed
-            "p1 p2",
-            a,
-            f"{a} {b} {a}",
-        ][kind]
-        lines.insert(draw(st.integers(0, len(lines))), extra)
-    line_end = st.sampled_from(["\n", "\r\n", "\x0b", "\u2028"])
-    ends = draw(st.lists(line_end, min_size=len(lines), max_size=len(lines)))
-    return "".join(map(str.__add__, lines, ends))
+def graph_commands(draw, command) -> list[str]:
+    """Arguments of a subcommand that reads a graph from stdin, with a seed
+    from +-2^63 and trial and attempt counts from 1-5."""
+    seed = f"--seed={draw(st.integers(-(2**63), 2**63))}"
+    count = draw(st.integers(1, 5))
+    options = {
+        "info": [[]],
+        "contract": [[], ["--format=dot"], ["--strategy=random", seed]],
+        "minimize": [[f"--trials={count}", seed, f"--format={f}"] for f in ("json", "csv", "dot")],
+        "estimate": [[]],
+        "randomize": [[f"--attempts={count}", seed]],
+        "search-info": [[], ["--pairs", "--format=csv"]],
+    }[command]
+    return [command, "-", *draw(st.sampled_from(options))]
 
 
 class Discard(io.TextIOBase):
@@ -428,25 +419,39 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("command", ["info", "randomize"])
+    def test_label_that_would_start_a_comment_exit_1(self, command):
+        code, out, err = invoke([command, "-"], "x #b\nc #b\n")
+        assert (code, out, err) == (1, "", "error: line 1: label '#b' starts with '#'\n")
+
     def test_edge_list_text_keeps_the_cli_contract(self):
-        """info and contract on any edge-list text exit 0 with JSON that holds
-        no NaN or Infinity, or exit 1 with one error line; both happen."""
+        """Every subcommand that reads a graph, on any edge-list text, exits 0
+        with output that parses and nothing on stderr, or exits 1 with one
+        error line and nothing on stdout; each subcommand does both."""
         codes = Counter()
 
-        @settings(max_examples=150)
-        @given(text=edge_list_texts(), command=st.sampled_from(["info", "contract"]))
-        def check(text, command):
-            code, out, err = invoke([command, "-"], text)
-            codes[code] += 1
-            if code == 0:
-                json.loads(out, parse_constant=reject_constant)
-                assert err == ""
-            else:
+        def check(text, argv):
+            code, out, err = invoke(argv, text)
+            codes[argv[0], code] += 1
+            if code != 0:
                 assert (code, out) == (1, "")
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                return
+            assert err == ""
+            if argv[0] == "randomize":
+                g, again = ns.load_edge_list(text), ns.load_edge_list(out)
+                assert (set(again.labels), again.link_count) == (set(g.labels), g.link_count)
+            elif "--format=dot" in argv:
+                assert out.startswith("graph {\n") and out.endswith("}\n")
+            elif "--format=csv" in argv:
+                rows = list(csv.reader(io.StringIO(out)))
+                assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+            else:
+                json.loads(out, parse_constant=reject_constant)
 
-        check()
-        assert set(codes) == {0, 1}
+        for command in GRAPH_COMMANDS:
+            settings(max_examples=40)(given(edge_list_texts(), graph_commands(command))(check))()
+        assert set(codes) == {(command, code) for command in GRAPH_COMMANDS for code in (0, 1)}
 
 
 class TestStandardLibraryOnly:

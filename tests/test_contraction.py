@@ -44,20 +44,31 @@ def contraction_corpus(karate):
     return graphs + [star(n) for n in (2, 3, 50, 300)] + [ns.gen_chain(n) for n in (2, 3, 40)]
 
 
+def supernodes_with_links(g, simp):
+    """Each super-node's members and the links of g between them, read from
+    the membership, by super-node index."""
+    inside = [[] for _ in range(simp.skeleton.node_count)]
+    for u, v in g.links:
+        if simp.membership[u] == simp.membership[v]:
+            inside[simp.membership[u]].append((u, v))
+    return [(members, tuple(links)) for members, links in zip(simp.supernodes, inside)]
+
+
 def check_simplified_invariants(g, simp):
     """Partition, spanning-tree super-nodes, simple skeleton, conservation."""
     # membership partitions the node set
-    assert sorted(m for sn in simp.supernodes for m in sn.members) == list(
+    assert sorted(m for members in simp.supernodes for m in members) == list(
         range(g.node_count)
     )
-    for i, sn in enumerate(simp.supernodes):
-        assert all(simp.membership[m] == i for m in sn.members)
-        # internal links form a spanning tree of the members
-        assert len(sn.internal_links) == len(sn.members) - 1
-        tree = supernode_tree(g, sn)
+    internal = 0
+    for i, members in enumerate(simp.supernodes):
+        assert all(simp.membership[m] == i for m in members)
+        # the links between the members form a spanning tree of them
+        tree = supernode_tree(g, members)
+        assert tree.link_count == len(members) - 1
         assert ns.is_connected(tree)
+        internal += tree.link_count
     # link bookkeeping and cyclomatic conservation
-    internal = sum(len(sn.internal_links) for sn in simp.supernodes)
     assert simp.skeleton.link_count + internal == g.link_count
     assert ns.cyclomatic_number(simp.skeleton) == ns.cyclomatic_number(g)
     # the skeleton is simple: normalized, unique links and no self-loops
@@ -108,7 +119,7 @@ class TestTreeContract:
         simp = ns.tree_contract(g, ns.order_links_random(g, 9))
         assert simp.skeleton.node_count == 1
         assert simp.skeleton.link_count == 0
-        assert len(simp.supernodes[0].members) == 15
+        assert len(simp.supernodes[0]) == 15
 
     def test_ring12_even_split_order(self):
         g = ns.gen_ring(12)
@@ -118,7 +129,7 @@ class TestTreeContract:
         simp = ns.tree_contract(g, order)
         assert simp.skeleton.node_count == 3
         assert simp.skeleton.link_count == 3
-        assert sorted(len(sn.members) for sn in simp.supernodes) == [4, 4, 4]
+        assert sorted(map(len, simp.supernodes)) == [4, 4, 4]
 
     def test_complete_graph_never_contracts(self):
         g = ns.Graph.from_links(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -155,32 +166,33 @@ class TestTreeContract:
                 simp = ns.tree_contract(g, order)
                 membership, supernodes, skeleton_links = reference_tree_contract(g, order)
                 assert simp.membership == membership
-                assert [(s.members, s.internal_links) for s in simp.supernodes] == supernodes
+                assert supernodes_with_links(g, simp) == supernodes
                 assert list(simp.skeleton.links) == skeleton_links
 
     @settings(max_examples=60)
     @given(connected_graphs(), st.integers(0, 2**30))
     def test_matches_reference_on_corpus(self, g, seed):
         """On three random orders and the degree order: membership, super-nodes
-        and skeleton links as in the copy-on-merge reference, the skeleton is
-        the quotient of the membership and keeps the cyclomatic number, every
-        super-node is a spanning tree of its members (check_simplified_invariants),
-        and degree_skeleton is the degree order's skeleton."""
+        and skeleton links as in the copy-on-merge reference (the links inside
+        each super-node, read from the membership, are the ones it accepted, so
+        at most one link joins two super-nodes), the skeleton is the quotient
+        of the membership and keeps the cyclomatic number, and every super-node
+        is a spanning tree of its members (check_simplified_invariants)."""
         orders = [ns.order_links_random(g, derive_seed(seed, t)) for t in range(3)]
         for order in orders + [ns.order_links_degree(g)]:
             simp = ns.tree_contract(g, order)
             membership, supernodes, skeleton_links = reference_tree_contract(g, order)
             assert simp.membership == membership
-            assert [(s.members, s.internal_links) for s in simp.supernodes] == supernodes
+            assert supernodes_with_links(g, simp) == supernodes
             assert list(simp.skeleton.links) == skeleton_links
             assert simp.skeleton == quotient_graph(g, simp.membership)
             assert ns.cyclomatic_number(simp.skeleton) == ns.cyclomatic_number(g)
             check_simplified_invariants(g, simp)
-        assert contraction.degree_skeleton(g) == simp.skeleton
 
     def test_degree_skeleton_rejects_disconnected(self):
+        g = ns.load_edge_list("a b\nc d")
         with pytest.raises(ConnectivityError):
-            contraction.degree_skeleton(ns.load_edge_list("a b\nc d"))
+            ns.tree_contract(g, ns.order_links_degree(g))
 
     def test_degree_skeleton_holds_little_more_than_its_input(self, large_sparse_text):
         """A root's neighbour set is built only when the root changes, so the
@@ -192,7 +204,7 @@ class TestTreeContract:
             g = ns.load_edge_list(large_sparse_text)
             graph_bytes = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            skeleton = contraction.degree_skeleton(g)
+            skeleton = ns.tree_contract(g, ns.order_links_degree(g)).skeleton
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -259,8 +271,8 @@ class TestSimplifiedSearchInfo:
             for trial in range(3):
                 simp = ns.tree_contract(g, ns.order_links_random(g, trial))
                 info = ns.simplified_search_information(simp)
-                for sn, bits in zip(simp.supernodes, info.h_supernodes):
-                    dp = ns.total_search_information(supernode_tree(g, sn)).total_bits
+                for members, bits in zip(simp.supernodes, info.h_supernodes):
+                    dp = ns.total_search_information(supernode_tree(g, members)).total_bits
                     assert bits == pytest.approx(dp, rel=0, abs=1e-9)
 
     def test_h_simp_is_sum(self, karate):

@@ -1,10 +1,16 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 import netskel as ns
-from netskel.errors import ParseError, ValidationError
+from netskel.errors import NetskelError, ParseError, ValidationError
+from conftest import edge_list_texts
 from oracle import quotient_graph
+
+
+def labelled_links(g):
+    return {frozenset((g.labels[u], g.labels[v])) for u, v in g.links}
 
 
 class TestLoadEdgeList:
@@ -40,12 +46,22 @@ class TestLoadEdgeList:
         assert g.labels == ("z", "y", "x")
 
     def test_round_trip(self, karate):
-        def by_label(g):
-            return {frozenset((g.labels[u], g.labels[v])) for u, v in g.links}
-
         again = ns.load_edge_list(ns.write_edge_list(karate))
-        assert by_label(again) == by_label(karate)
+        assert labelled_links(again) == labelled_links(karate)
         assert set(again.labels) == set(karate.labels)
+
+    @settings(max_examples=150)
+    @given(edge_list_texts())
+    def test_every_accepted_text_round_trips(self, text):
+        """Indices follow first appearance, so the written text may number the
+        labels differently: compare labels and labelled links."""
+        try:
+            g = ns.load_edge_list(text)
+        except NetskelError:
+            return
+        again = ns.load_edge_list(ns.write_edge_list(g))
+        assert set(again.labels) == set(g.labels)
+        assert labelled_links(again) == labelled_links(g)
 
     def test_degree_sum_is_twice_links(self, karate):
         assert sum(karate.degrees) == 2 * karate.link_count
@@ -58,6 +74,8 @@ class TestLoadEdgeList:
             ("a b\nq q\n", ValidationError, "line 2: self-loop on 'q'"),
             ("a b\nb a\n", ValidationError, "line 2: duplicate edge 'b' -- 'a'"),
             ('x "é,1"\n"é,1" x\n', ValidationError, "line 2: duplicate edge '\"é,1\"' -- 'x'"),
+            # written back as "x #b" and "#b c", the second line would be a comment
+            ("x #b\nc #b\n", ParseError, "line 1: label '#b' starts with '#'"),
         ],
     )
     def test_error_messages(self, text, error, message):
