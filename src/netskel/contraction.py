@@ -26,6 +26,12 @@ from .seeding import derive_seed
 # memo hits or trivial skeletons leave only the merge and the forest pass.
 TRIAL_WORK_PER_LINK = 20
 
+# The most neighbouring roots _merge keeps in a tuple rather than a set: a
+# CPython set never takes less memory than its 8-slot table. Rebuilding a
+# tuple this short costs O(8), and longer ones become sets, so hubs still
+# update in O(1) and no merge order turns quadratic.
+SHORT_NEIGHBOURS = 8
+
 
 class SimplifiedNetwork(NamedTuple):
     """A contraction of original: membership is each node's super-node index,
@@ -109,15 +115,23 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
     super-node's internal links are all of g's links between its members: the
     membership holds the whole contraction (SimplifiedNetwork.supernodes).
 
-    A root keeps its adjacency tuple from g until it changes, and a set of its
-    neighbouring roots is built only then, so a leaf merged into its neighbour
-    never gets one."""
-    parent = list(range(g.node_count))
+    Each root holds exactly its neighbouring roots, from its adjacency tuple
+    in g on. A tuple of at most SHORT_NEIGHBOURS roots stays a tuple: a
+    relabel rebuilds it, and a root that absorbs a dangling super-node (one
+    whose only neighbour it is) drops that entry without the disjointness test
+    or a relabel. A longer tuple gets a set, and so does a root tested
+    against a super-node with more than one neighbour, so neither a leaf
+    merged into its neighbour nor that neighbour gets one. A negative parent
+    marks a root, so the union-find stores only ints that g's links already
+    hold."""
+    parent = [-1] * g.node_count
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while (p := parent[x]) >= 0:
+            if (up := parent[p]) < 0:
+                return p
+            parent[x] = up
+            x = up
         return x
 
     neigh: list = list(g.adjacency)
@@ -126,22 +140,38 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
         large, small = neigh[ru], neigh[rv]
         if len(large) < len(small):
             ru, rv, large, small = rv, ru, small, large
-        if type(large) is tuple:
-            large = neigh[ru] = set(large)
-        # ru and rv are neighbors and neither is its own, so the two meet
-        # exactly in the shared neighbors
-        if not large.isdisjoint(small):
-            continue  # merge would create a multilink
+        if len(small) == 1:  # rv dangles from ru: nothing is shared or relabelled
+            if type(large) is set:
+                large.remove(rv)
+            elif len(large) <= SHORT_NEIGHBOURS:
+                i = large.index(rv)
+                neigh[ru] = large[:i] + large[i + 1 :]
+            else:
+                large = neigh[ru] = set(large)
+                large.remove(rv)
+        else:
+            if type(large) is tuple:
+                large = neigh[ru] = set(large)
+            # ru and rv are neighbors and neither is its own, so the two meet
+            # exactly in the shared neighbors
+            if not large.isdisjoint(small):
+                continue  # merge would create a multilink
+            large.discard(rv)
+            for w in small:
+                if w != ru:
+                    nw = neigh[w]
+                    if type(nw) is set:
+                        nw.discard(rv)
+                        nw.add(ru)
+                    elif len(nw) <= SHORT_NEIGHBOURS:
+                        i = nw.index(rv)
+                        neigh[w] = nw[:i] + (ru,) + nw[i + 1 :]
+                    else:
+                        nw = neigh[w] = set(nw)
+                        nw.discard(rv)
+                        nw.add(ru)
+                    large.add(w)
         parent[rv] = ru
-        large.discard(rv)
-        for w in small:
-            if w != ru:
-                nw = neigh[w]
-                if type(nw) is tuple:
-                    nw = neigh[w] = set(nw)
-                nw.discard(rv)
-                nw.add(ru)
-                large.add(w)
         neigh[rv] = None  # rv is no longer a root, so nothing reads it again
 
     index: dict[int, int] = {}

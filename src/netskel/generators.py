@@ -83,21 +83,29 @@ def rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = list(g.links)
     adj: list[set[int]] = [set(ns) for ns in g.adjacency]
+    # mark[w] is the stamp of the side that last reached w; each call takes two
+    # fresh stamps, so no call clears or allocates a per-node table
+    mark = [0] * g.node_count
+    stamp = 0
 
     def joined(a: int, b: int) -> bool:
-        side = {a: 0, b: 1}
+        nonlocal stamp
+        sides = (stamp + 1, stamp + 2)
+        stamp += 2
+        mark[a], mark[b] = sides
         frontiers = [[a], [b]]
         while frontiers[0] and frontiers[1]:
             s = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+            own, other = sides[s], sides[1 - s]
             grown = []
             for u in frontiers[s]:
                 for w in adj[u]:
-                    owner = side.get(w)
-                    if owner is None:
-                        side[w] = s
-                        grown.append(w)
-                    elif owner != s:
+                    m = mark[w]
+                    if m == other:
                         return True
+                    if m != own:
+                        mark[w] = own
+                        grown.append(w)
             frontiers[s] = grown
         return False
 

@@ -32,12 +32,30 @@ class Graph(NamedTuple):
         labels: Optional[Sequence[str]] = None,
     ) -> "Graph":
         """Build a graph from outside input, refusing unknown nodes, self-loops,
-        duplicate links in either orientation and a wrong label count."""
+        duplicate links in either orientation, a wrong label count and given
+        labels that write_edge_list could not write back: empty, split by
+        whitespace, starting with '#' or repeated."""
         if node_count < 0:
             raise ValidationError("node_count must be non-negative")
-        labels = tuple(str(i) for i in range(node_count)) if labels is None else tuple(labels)
-        if len(labels) != node_count:
-            raise ValidationError(f"got {len(labels)} labels for {node_count} nodes")
+        if labels is None:
+            labels = tuple(str(i) for i in range(node_count))
+        else:
+            labels = tuple(labels)
+            if len(labels) != node_count:
+                raise ValidationError(f"got {len(labels)} labels for {node_count} nodes")
+            named: set[str] = set()
+            for node, label in enumerate(labels):
+                # write_edge_list must write it as one token that load_edge_list
+                # reads back as this node, not as a comment or another node
+                if not label:
+                    raise ValidationError(f"empty label on node {node}")
+                if label.split() != [label]:
+                    raise ValidationError(f"label {label!r} contains whitespace")
+                if label.startswith("#"):
+                    raise ValidationError(f"label {label!r} starts with '#'")
+                if label in named:
+                    raise ValidationError(f"duplicate label {label!r}")
+                named.add(label)
         normalized: list[Link] = []
         seen: set[Link] = set()
         for u, v in links:

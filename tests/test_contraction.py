@@ -33,15 +33,37 @@ def star(n):
     return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])
 
 
+def wheel(n):
+    """A hub joined to every node of a ring of n - 1."""
+    spokes = [(0, i) for i in range(1, n)]
+    return ns.Graph.from_links(n, spokes + [(i, i % (n - 1) + 1) for i in range(1, n)])
+
+
+def hub(d):
+    """A hub of degree d whose spokes each lead into a path of two links, and
+    every other path into the next one by a chord. A path node can outgrow its
+    spoke, so spokes are absorbed away from the hub and the hub's entries are
+    relabelled, with d on either side of contraction.SHORT_NEIGHBOURS."""
+    links = []
+    for i in range(d):
+        s = 1 + 3 * i
+        links += [(0, s), (s, s + 1), (s + 1, s + 2)]
+        if i % 2:
+            links.append((s + 1, 2 + 3 * ((i + 1) % d)))
+    return ns.Graph.from_links(1 + 3 * d, links)
+
+
 def contraction_corpus(karate):
-    """Karate, small ER graphs, trees with chords, stars and chains."""
+    """Karate, small ER graphs, trees with chords, stars, chains, hubs of
+    degree 7 to 10 and a wheel."""
     rng = random.Random(11)
     graphs = [karate]
     for _ in range(8):
         graphs.append(random_connected_graph(rng.randint(5, 40), 0.2, rng.randrange(1 << 30)))
         n, chords = rng.randint(10, 200), rng.randint(0, 30)
         graphs.append(tree_with_chords(n, chords, rng.randrange(1 << 30)))
-    return graphs + [star(n) for n in (2, 3, 50, 300)] + [ns.gen_chain(n) for n in (2, 3, 40)]
+    graphs += [star(n) for n in (2, 3, 50, 300)] + [ns.gen_chain(n) for n in (2, 3, 40)]
+    return graphs + [hub(d) for d in (7, 8, 9, 10)] + [wheel(12)]
 
 
 def supernodes_with_links(g, simp):
@@ -154,6 +176,7 @@ class TestTreeContract:
             random_connected_graph(rng.randint(5, 30), 0.25, rng.randrange(1 << 30))
             for _ in range(20)
         ]
+        graphs += [hub(d) for d in (7, 8, 9, 10)] + [wheel(12)]
         for g in graphs:
             for trial in range(3):
                 simp = ns.tree_contract(g, ns.order_links_random(g, trial))
@@ -195,10 +218,11 @@ class TestTreeContract:
             ns.tree_contract(g, ns.order_links_degree(g))
 
     def test_degree_skeleton_holds_little_more_than_its_input(self, large_sparse_text):
-        """A root's neighbour set is built only when the root changes, so the
-        leaves merged into their neighbours never get one: the peak, the input
-        graph included, is about 1.7 times that graph, and would be 2.2 times
-        with a set for every node."""
+        """The merge makes no int per node, and a root keeps its neighbours in a
+        tuple until it meets a super-node with more than one neighbour or they
+        outgrow contraction.SHORT_NEIGHBOURS: the peak, the input graph
+        included, is about 1.3 times that graph (1.7 times with a set for every
+        root that changed, 2.2 times with a set for every node)."""
         tracemalloc.start()
         try:
             g = ns.load_edge_list(large_sparse_text)
@@ -209,7 +233,7 @@ class TestTreeContract:
         finally:
             tracemalloc.stop()
         assert ns.cyclomatic_number(skeleton) == ns.cyclomatic_number(g)
-        assert peak <= 1.8 * graph_bytes, f"peak {peak / graph_bytes:.2f} times the graph"
+        assert peak <= 1.5 * graph_bytes, f"peak {peak / graph_bytes:.2f} times the graph"
 
     def test_skeleton_is_quotient_graph(self, karate):
         for g in contraction_corpus(karate):

@@ -1,7 +1,9 @@
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netskel as ns
 from netskel.errors import NetskelError, ParseError, ValidationError
@@ -11,6 +13,18 @@ from oracle import quotient_graph
 
 def labelled_links(g):
     return {frozenset((g.labels[u], g.labels[v])) for u, v in g.links}
+
+
+def links_and_labels(n):
+    """Links without self-loops or repeats on n nodes, and a label or None (a
+    plain label) for each node; the labels may repeat, hold whitespace or
+    start with '#'."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    label = st.none() | st.text(st.sampled_from("abcd\u00e9#\t \x1c"), min_size=1, max_size=3)
+    return st.tuples(
+        st.lists(pair, max_size=8, unique_by=frozenset),
+        st.lists(label, min_size=n, max_size=n),
+    )
 
 
 class TestLoadEdgeList:
@@ -151,6 +165,35 @@ class TestFromLinks:
     def test_negative_node_count_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
             ns.Graph.from_links(-1, [])
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["a", "", "c"], "empty label on node 1"),
+            (["a b", "c", "d"], "label 'a b' contains whitespace"),
+            (["a", "b\n", "c"], "label 'b\\n' contains whitespace"),
+            (["x", "#b", "c"], "label '#b' starts with '#'"),
+            (["a", "a", "c"], "duplicate label 'a'"),
+        ],
+    )
+    def test_labels_written_back_wrongly_rejected(self, labels, message):
+        """Each would be written as text that load_edge_list refuses or reads
+        as another graph: a line of one or three tokens, a comment, a
+        self-loop."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ns.Graph.from_links(3, [(0, 1), (1, 2)], labels)
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), links_and_labels(n))))
+    def test_every_accepted_graph_round_trips(self, case):
+        n, (links, drawn) = case
+        labels = [f"v{i}" if label is None else label for i, label in enumerate(drawn)]
+        try:
+            g = ns.Graph.from_links(n, links, labels)
+        except ValidationError:
+            return
+        again = ns.load_edge_list(ns.write_edge_list(g))
+        assert labelled_links(again) == labelled_links(g)
 
 
 class TestCyclomaticNumber:
