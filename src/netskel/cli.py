@@ -213,9 +213,11 @@ def _cmd_minimize(args, stdin, stdout) -> int:
 
 
 def _cmd_estimate(args, stdin, stdout) -> int:
+    g = _read_graph(args.input, stdin)
+    # imported after the parse, so that the parse's peak memory does not sit
+    # on top of their code
     from . import contraction, estimator
 
-    g = _read_graph(args.input, stdin)
     constants = _parse_constants(args.constants)
     skeleton = contraction.tree_contract(g, contraction.order_links_degree(g)).skeleton
     est = estimator.skeleton_estimate(

@@ -175,7 +175,10 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
         neigh[rv] = None  # rv is no longer a root, so nothing reads it again
 
     index: dict[int, int] = {}
-    membership = tuple([index.setdefault(find(u), len(index)) for u in range(g.node_count)])
+    members = [index.setdefault(find(u), len(index)) for u in range(g.node_count)]
+    parent.clear()  # read out: freed before the tuple copy and the skeleton's links
+    membership = tuple(members)
+    del members
     # a live root's neighbors are live roots: the skeleton's adjacency
     links = sorted((i, index[w]) for r, i in index.items() for w in neigh[r] if i < index[w])
     return membership, len(index), links

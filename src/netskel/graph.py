@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConnectivityError, ParseError, ValidationError
 
 Link = tuple[int, int]
+
+# Characters per piece in which _lines splits an edge-list string: a piece's
+# lines are held at once, never the whole text's.
+_LINE_CHUNK = 1 << 16
 
 
 class Graph(NamedTuple):
@@ -56,20 +60,18 @@ class Graph(NamedTuple):
                 if label in named:
                     raise ValidationError(f"duplicate label {label!r}")
                 named.add(label)
-        normalized: list[Link] = []
-        seen: set[Link] = set()
+        normalized: dict[Link, None] = {}  # the links in input order
         for u, v in links:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValidationError(f"link ({u}, {v}) references unknown node")
             if u == v:
                 raise ValidationError(f"self-loop on node {labels[u]!r}")
             link = (u, v) if u < v else (v, u)
-            if link in seen:
+            if link in normalized:
                 raise ValidationError(
                     f"duplicate link {labels[link[0]]!r} -- {labels[link[1]]!r}"
                 )
-            seen.add(link)
-            normalized.append(link)
+            normalized[link] = None
         return cls._trusted(node_count, normalized, labels)
 
     @classmethod
@@ -117,14 +119,26 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
     return Graph._trusted(len(labels), links, labels)
 
 
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), one piece of about _LINE_CHUNK characters at a time.
+    Every piece but the last ends just after a '\n', which ends a line
+    whatever comes before it, so no line and no '\r\n' spans two pieces."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)  # 0: no '\n' left
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[Link]]:
     """The labels and the (min, max) links of an edge list, in input order.
-    The line list, the label index and the duplicate set live only in this
-    call, so they are freed before load_edge_list builds the Graph."""
-    lines = text.splitlines() if isinstance(text, str) else text
+    A str is read a piece at a time (_lines), so its lines are never all held
+    at once. One dict keeps the links in order and refuses a duplicate on the
+    line that repeats it. It and the label index live only in this call, so
+    they are freed before load_edge_list builds the Graph."""
+    lines = _lines(text) if isinstance(text, str) else text
     index: dict[str, int] = {}  # label -> its index, in first-appearance order
-    links: list[Link] = []
-    seen: set[Link] = set()
+    links: dict[Link, None] = {}  # the links in input order
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -141,13 +155,12 @@ def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[L
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop on {tokens[0]!r}")
         link = (u, v) if u < v else (v, u)
-        if link in seen:
+        if link in links:
             raise ValidationError(
                 f"line {lineno}: duplicate edge {tokens[0]!r} -- {tokens[1]!r}"
             )
-        seen.add(link)
-        links.append(link)
-    return tuple(index), links
+        links[link] = None
+    return tuple(index), list(links)
 
 
 def write_edge_list(g: Graph) -> str:

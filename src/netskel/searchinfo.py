@@ -101,9 +101,12 @@ def _walk(g: Graph, source: int) -> Optional[list[float]]:
     A(u)/(k_u - 1). Predecessors are popped before v, in the order a
     separate DAG pass would sum them, so A(u) is complete when u is
     popped; if it is below UNDERFLOW_THRESHOLD, the walk gives up.
+
+    An unreached node is at distance N and every BFS level is below N, so a
+    predecessor or a neighbour on u's own level costs one comparison.
     """
     adjacency, degrees = g.adjacency, g.degrees
-    dist = [UNREACHABLE] * g.node_count
+    dist = [g.node_count] * g.node_count
     a = [0.0] * g.node_count
     dist[source] = 0
     a[source] = 1.0
@@ -122,12 +125,13 @@ def _walk(g: Graph, source: int) -> Optional[list[float]]:
         du = dist[u] + 1
         for v in adjacency[u]:
             dv = dist[v]
-            if dv == UNREACHABLE:
-                dist[v] = du
-                a[v] = w
-                order.append(v)
-            elif dv == du:
-                a[v] += w
+            if dv >= du:
+                if dv == du:
+                    a[v] += w
+                else:
+                    dist[v] = du
+                    a[v] = w
+                    order.append(v)
     return a
 
 
