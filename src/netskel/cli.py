@@ -177,10 +177,7 @@ def _cmd_contract(args, stdin, stdout) -> int:
     from . import contraction
 
     g = _read_graph(args.input, stdin)
-    if args.strategy == "degree":
-        order = contraction.order_links_degree(g)
-    else:
-        order = contraction.order_links_random(g, args.seed)
+    order = None if args.strategy == "degree" else contraction.order_links_random(g, args.seed)
     simp = contraction.tree_contract(g, order)
     if args.format == "dot":
         _emit_dot(simp, stdout)
@@ -219,7 +216,7 @@ def _cmd_estimate(args, stdin, stdout) -> int:
     from . import contraction, estimator
 
     constants = _parse_constants(args.constants)
-    skeleton = contraction.tree_contract(g, contraction.order_links_degree(g)).skeleton
+    skeleton = contraction.tree_contract(g).skeleton
     est = estimator.skeleton_estimate(
         contraction.skeleton_bits(skeleton), skeleton.node_count, g.node_count, constants
     )
@@ -363,6 +360,9 @@ def run(
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse before Python 3.13 reads "--name=--" as a list of no values
+        if any(value == [] or type(value) is list and [] in value for value in vars(args).values()):
+            parser.error("expected one argument")
     except SystemExit as exc:
         return EXIT_USAGE_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

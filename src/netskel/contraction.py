@@ -27,9 +27,10 @@ from .seeding import derive_seed
 TRIAL_WORK_PER_LINK = 20
 
 # The most neighbouring roots _merge keeps in a tuple rather than a set: a
-# CPython set never takes less memory than its 8-slot table. Rebuilding a
-# tuple this short costs O(8), and longer ones become sets, so hubs still
-# update in O(1) and no merge order turns quadratic.
+# CPython set never takes less memory than its 8-slot table. Testing, merging
+# or relabelling a tuple this short costs O(8), and a root that outgrows it
+# gets a set for good, so hubs still update in O(1) and no merge order turns
+# quadratic.
 SHORT_NEIGHBOURS = 8
 
 
@@ -93,16 +94,20 @@ def order_links_degree(g: Graph) -> list[Link]:
     return sorted(g.links, key=lambda l: deg[l[0]] + deg[l[1]])
 
 
-def tree_contract(g: Graph, order: list[Link]) -> SimplifiedNetwork:
+def tree_contract(g: Graph, order: list[Link] | None = None) -> SimplifiedNetwork:
     """One pass over links in the given order, merging wherever no multilink
     would result. Rejected links stay rejected (merging can only add common
-    neighbors), so a single pass is exhaustive.
+    neighbors), so a single pass is exhaustive. With no order, the pass takes
+    order_links_degree(g), a permutation of the links by construction, so it
+    is not checked as a given order is.
 
     Merges are small-to-large: the root with more skeleton neighbors
     survives and only the other root's neighbors are relabelled, so a hub
     absorbs its leaves in O(1) each."""
     require_connected(g)
-    if sorted(order) != list(g.links):
+    if order is None:
+        order = order_links_degree(g)
+    elif sorted(order) != list(g.links):
         raise NetskelError("order must be a permutation of the graph's links")
     return _network(g, *_merge(g, order))
 
@@ -116,14 +121,14 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
     membership holds the whole contraction (SimplifiedNetwork.supernodes).
 
     Each root holds exactly its neighbouring roots, from its adjacency tuple
-    in g on. A tuple of at most SHORT_NEIGHBOURS roots stays a tuple: a
-    relabel rebuilds it, and a root that absorbs a dangling super-node (one
-    whose only neighbour it is) drops that entry without the disjointness test
-    or a relabel. A longer tuple gets a set, and so does a root tested
-    against a super-node with more than one neighbour, so neither a leaf
-    merged into its neighbour nor that neighbour gets one. A negative parent
-    marks a root, so the union-find stores only ints that g's links already
-    hold."""
+    in g on. Once changed, they are a tuple while there are at most
+    SHORT_NEIGHBOURS of them, and a set for good once there are more. Two
+    short roots are tested entry by entry, so a refusal leaves both tuples as
+    they were, and an accepted merge whose result stays short leaves a tuple;
+    a relabel rebuilds a short tuple. A root that absorbs a dangling
+    super-node (one whose only neighbour it is) drops that entry without the
+    disjointness test or a relabel. A negative parent marks a root, so the
+    union-find stores only ints that g's links already hold."""
     parent = [-1] * g.node_count
 
     def find(x: int) -> int:
@@ -150,13 +155,28 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
                 large = neigh[ru] = set(large)
                 large.remove(rv)
         else:
-            if type(large) is tuple:
-                large = neigh[ru] = set(large)
             # ru and rv are neighbors and neither is its own, so the two meet
             # exactly in the shared neighbors
-            if not large.isdisjoint(small):
-                continue  # merge would create a multilink
-            large.discard(rv)
+            if type(large) is tuple and len(large) <= SHORT_NEIGHBOURS:
+                # two short roots: small's entries are looked up in the tuple,
+                # and only an accepted merge gathers both in a list
+                for w in small:
+                    if w in large:
+                        break
+                else:
+                    large = [*large, *small]
+                if type(large) is tuple:
+                    continue  # merge would create a multilink
+            else:
+                if type(large) is tuple:
+                    large = neigh[ru] = set(large)
+                if not large.isdisjoint(small):
+                    continue  # merge would create a multilink
+                large.update(small)
+            large.remove(rv)
+            large.remove(ru)
+            if type(large) is list:
+                neigh[ru] = tuple(large) if len(large) <= SHORT_NEIGHBOURS else set(large)
             for w in small:
                 if w != ru:
                     nw = neigh[w]
@@ -164,13 +184,13 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
                         nw.discard(rv)
                         nw.add(ru)
                     elif len(nw) <= SHORT_NEIGHBOURS:
-                        i = nw.index(rv)
-                        neigh[w] = nw[:i] + (ru,) + nw[i + 1 :]
+                        nw = list(nw)
+                        nw[nw.index(rv)] = ru
+                        neigh[w] = tuple(nw)
                     else:
                         nw = neigh[w] = set(nw)
                         nw.discard(rv)
                         nw.add(ru)
-                    large.add(w)
         parent[rv] = ru
         neigh[rv] = None  # rv is no longer a root, so nothing reads it again
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -12,6 +13,9 @@ Link = tuple[int, int]
 # Characters per piece in which _lines splits an edge-list string: a piece's
 # lines are held at once, never the whole text's.
 _LINE_CHUNK = 1 << 16
+
+# A line boundary of any kind str.splitlines knows, with '\r\n' as one.
+_LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 class Graph(NamedTuple):
@@ -121,11 +125,12 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
 
 def _lines(text: str) -> Iterator[str]:
     """text.splitlines(), one piece of about _LINE_CHUNK characters at a time.
-    Every piece but the last ends just after a '\n', which ends a line
-    whatever comes before it, so no line and no '\r\n' spans two pieces."""
+    Every piece but the last ends just after the first line boundary at or
+    after _LINE_CHUNK characters, '\r\n' whole, so no line spans two pieces."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)  # 0: no '\n' left
+        found = _LINE_END.search(text, start + _LINE_CHUNK)
+        end = found.end() if found else len(text)
         yield from text[start:end].splitlines()
         start = end
 

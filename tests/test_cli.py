@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -85,6 +86,49 @@ def graph_commands(draw, command) -> list[str]:
         "search-info": [[], ["--pairs", "--format=csv"]],
     }[command]
     return [command, "-", *draw(st.sampled_from(options))]
+
+
+@st.composite
+def generator_commands(draw, command) -> list[str]:
+    """Arguments of gen (every kind, n from -2 to 60) or of tree-scaling
+    (small ranges, steps and sample counts, valid or not), with a seed from
+    +-2^63 and every format."""
+    seed = f"--seed={draw(st.integers(-(2**63), 2**63))}"
+    if command == "gen":
+        kind = draw(st.sampled_from(["ring", "chain", "tree"]))
+        fmt = draw(st.sampled_from([[], ["--format=edges"], ["--format=dot"]]))
+        return ["gen", kind, str(draw(st.integers(-2, 60))), seed, *fmt]
+    bounds = [f"--{name}={draw(st.integers(-1, hi))}" for name, hi in
+              (("min", 25), ("max", 25), ("step", 10), ("samples", 4))]
+    fmt = draw(st.sampled_from([[], ["--format=json"], ["--format=csv"]]))
+    return ["tree-scaling", *bounds, seed, *fmt]
+
+
+def assert_cli_contract(argv, code, out, err, text=""):
+    """One call keeps the CLI contract: exit 0 with output that parses (an
+    edge list from gen with the kind's node and link counts) and nothing on
+    stderr, or exit 1 with one error line and nothing on stdout. text is the
+    edge list the call read."""
+    if code != 0:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    if argv[0] == "randomize":
+        g, again = ns.load_edge_list(text), ns.load_edge_list(out)
+        assert (set(again.labels), again.link_count) == (set(g.labels), g.link_count)
+    elif "--format=dot" in argv:
+        assert out.startswith("graph {\n") and out.endswith("}\n")
+    elif argv[0] == "gen":
+        n = int(argv[2])
+        links = n if argv[1] == "ring" else n - 1
+        g = ns.load_edge_list(out)
+        assert (g.node_count, g.link_count) == ((n if links else 0), links)
+    elif "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+    else:
+        json.loads(out, parse_constant=reject_constant)
 
 
 class Discard(io.TextIOBase):
@@ -382,6 +426,23 @@ class TestDeterminismAndErrors:
         code, _, _ = invoke(["no-such-command"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "tree", "5", "--seed=--"],
+            ["minimize", "-", "--trials=--"],
+            ["estimate", "-", "--constants=inverse_exponent=2.4", "--constants=--"],
+            ["contract", "-", "--format=--"],
+        ],
+    )
+    def test_option_given_as_double_dash_exit_2(self, argv):
+        """argparse before Python 3.13 reads "--name=--" as a list of no
+        values, which reached the commands and raised a traceback."""
+        usage = io.StringIO()
+        with contextlib.redirect_stderr(usage):
+            assert invoke(argv, "a b\n") == (2, "", "")
+        assert usage.getvalue().endswith("netskel: error: expected one argument\n")
+
     def test_missing_file_exit_1(self):
         code, _, err = invoke(["info", "/no/such/file.edges"])
         assert code == 1
@@ -433,25 +494,54 @@ class TestDeterminismAndErrors:
         def check(text, argv):
             code, out, err = invoke(argv, text)
             codes[argv[0], code] += 1
-            if code != 0:
-                assert (code, out) == (1, "")
-                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-                return
-            assert err == ""
-            if argv[0] == "randomize":
-                g, again = ns.load_edge_list(text), ns.load_edge_list(out)
-                assert (set(again.labels), again.link_count) == (set(g.labels), g.link_count)
-            elif "--format=dot" in argv:
-                assert out.startswith("graph {\n") and out.endswith("}\n")
-            elif "--format=csv" in argv:
-                rows = list(csv.reader(io.StringIO(out)))
-                assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
-            else:
-                json.loads(out, parse_constant=reject_constant)
+            assert_cli_contract(argv, code, out, err, text)
 
         for command in GRAPH_COMMANDS:
             settings(max_examples=40)(given(edge_list_texts(), graph_commands(command))(check))()
         assert set(codes) == {(command, code) for command in GRAPH_COMMANDS for code in (0, 1)}
+
+    def test_generators_keep_the_cli_contract(self):
+        """gen and tree-scaling, on any size, range and seed, keep the contract
+        of test_edge_list_text_keeps_the_cli_contract; each exits both 0 and 1."""
+        codes = Counter()
+
+        def check(argv):
+            code, out, err = invoke(argv)
+            codes[argv[0], code] += 1
+            assert_cli_contract(argv, code, out, err)
+
+        for command in ("gen", "tree-scaling"):
+            settings(max_examples=40)(given(generator_commands(command))(check))()
+        assert set(codes) == {(command, code) for command in ("gen", "tree-scaling") for code in (0, 1)}
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(GRAPH_COMMANDS + ("gen", "tree-scaling")).flatmap(
+            lambda command: generator_commands(command)
+            if command in ("gen", "tree-scaling")
+            else graph_commands(command)
+        ),
+        st.data(),
+    )
+    def test_bad_flags_and_integers_exit_2_with_usage(self, argv, data):
+        """A flag no subcommand has, a choice it does not offer or an integer
+        that does not parse exits 2 with argparse's usage message on stderr and
+        nothing on stdout, before any input is read."""
+        mutants = [[*argv, "--no-such-flag"], [*argv, "--format=xml"], [*argv, "--format=--"]]
+        for i, arg in enumerate(argv):
+            flag, eq, value = arg.rpartition("=")
+            if value.lstrip("-").isdigit():
+                for bad in ("x", "1.5", "", "1e3", "0x10", "nan", "--"):
+                    mutants.append([*argv[:i], flag + eq + bad, *argv[i + 1 :]])
+        argv = data.draw(st.sampled_from(mutants))
+        usage = io.StringIO()
+        with contextlib.redirect_stderr(usage):
+            code, out, err = invoke(argv, "a b\n")
+        assert (code, out, err) == (2, "", "")
+        lines = usage.getvalue().splitlines()
+        assert lines[0].startswith("usage: netskel ")
+        assert lines[-1].startswith("netskel") and ": error: " in lines[-1]
+        assert "Traceback" not in usage.getvalue()
 
 
 class TestStandardLibraryOnly:

@@ -250,6 +250,54 @@ class TestTreeContract:
         assert ns.cyclomatic_number(skeleton) == ns.cyclomatic_number(g)
         assert peak <= 1.45 * graph_bytes, f"peak {peak / graph_bytes:.2f} times the graph"
 
+    def test_short_supernodes_hold_no_set(self, karate, monkeypatch):
+        """_merge builds a set only for a root with more than
+        contraction.SHORT_NEIGHBOURS neighbouring roots: two short roots are
+        tested and merged as tuples, whether the merge is refused or accepted,
+        and the contraction is still the reference one."""
+        sizes = []
+
+        class CountingSet(set):
+            def __init__(self, entries=()):
+                super().__init__(entries)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(contraction, "set", CountingSet, raising=False)
+        for g in contraction_corpus(karate):
+            orders = [ns.order_links_random(g, t) for t in range(4)]
+            for order in orders + [ns.order_links_degree(g)]:
+                simp = ns.tree_contract(g, order)
+                membership, _, skeleton_links = reference_tree_contract(g, order)
+                assert simp.membership == membership
+                assert list(simp.skeleton.links) == skeleton_links
+        assert sizes, "the corpus has hubs, so some root must outgrow a tuple"
+        assert min(sizes) > contraction.SHORT_NEIGHBOURS
+
+    def test_random_order_contraction_holds_little_memory(self, large_sparse_text):
+        """In a random order most super-nodes of a sparse graph stay short, so
+        they keep tuples: the contraction's own peak is about 0.24 times the
+        graph (0.38 times when a root tested against a super-node with more
+        than one neighbour kept a set). The same contraction runs once before
+        the measured one, so CPython's free lists are already full."""
+        tracemalloc.start()
+        try:
+            g = ns.load_edge_list(large_sparse_text)
+            graph_bytes = tracemalloc.get_traced_memory()[0]
+            order = ns.order_links_random(g, 1)
+            ns.tree_contract(g, order)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            skeleton = ns.tree_contract(g, order).skeleton
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ns.cyclomatic_number(skeleton) == ns.cyclomatic_number(g)
+        assert peak <= 0.3 * graph_bytes, f"peak {peak / graph_bytes:.2f} times the graph"
+
+    def test_no_order_is_the_degree_order(self, karate):
+        for g in contraction_corpus(karate):
+            assert ns.tree_contract(g) == ns.tree_contract(g, ns.order_links_degree(g))
+
     def test_skeleton_is_quotient_graph(self, karate):
         for g in contraction_corpus(karate):
             simp = ns.tree_contract(g, ns.order_links_random(g, 5))

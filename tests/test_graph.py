@@ -162,6 +162,21 @@ class TestLoadEdgeList:
         assert (g.node_count, g.link_count) == (20000, 22999)
         assert peak <= 1.3 * kept, f"peak {peak / kept:.2f} times the graph"
 
+    def test_lines_ended_by_cr_parse_in_pieces(self, large_sparse_text):
+        """A piece ends at any line boundary str.splitlines knows, so a text
+        without a single newline is read in pieces too, within the bound of
+        test_parse_holds_little_more_than_its_graph (1.41 times the graph when
+        only a newline ended a piece)."""
+        text = large_sparse_text.replace("\n", "\r")
+        tracemalloc.start()
+        try:
+            g = ns.load_edge_list(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.node_count, g.link_count) == (20000, 22999)
+        assert peak <= 1.3 * kept, f"peak {peak / kept:.2f} times the graph"
+
 
 class TestFromLinks:
     def test_builds_sorted_normalized_graph(self):
