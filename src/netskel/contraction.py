@@ -105,17 +105,18 @@ def tree_contract(g: Graph, order: list[Link] | None = None) -> SimplifiedNetwor
     survives and only the other root's neighbors are relabelled, so a hub
     absorbs its leaves in O(1) each."""
     require_connected(g)
-    if order is None:
-        order = order_links_degree(g)
-    elif sorted(order) != list(g.links):
+    if order is not None and sorted(order) != list(g.links):
         raise NetskelError("order must be a permutation of the graph's links")
     return _network(g, *_merge(g, order))
 
 
-def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link]]:
+def _merge(g: Graph, order: list[Link] | None) -> tuple[tuple[int, ...], int, list[Link]]:
     """The merge pass of tree_contract on a connected graph and a permutation
-    of its links: each node's super-node, the super-node count and the
-    skeleton's links, sorted. Super-nodes are numbered by their minimum member.
+    of its links, order_links_degree(g) if order is None: each node's
+    super-node, the super-node count and the skeleton's links, sorted. The
+    degree order is sorted before the pass's own lists exist and is freed
+    before the read-out; a given order is the caller's and is left as it is.
+    Super-nodes are numbered by their minimum member.
     At most one link joins two super-nodes, so no link is read inside one, and a
     super-node's internal links are all of g's links between its members: the
     membership holds the whole contraction (SimplifiedNetwork.supernodes).
@@ -129,6 +130,8 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
     super-node (one whose only neighbour it is) drops that entry without the
     disjointness test or a relabel. A negative parent marks a root, so the
     union-find stores only ints that g's links already hold."""
+    if order is None:
+        order = order_links_degree(g)
     parent = [-1] * g.node_count
 
     def find(x: int) -> int:
@@ -193,6 +196,7 @@ def _merge(g: Graph, order: list[Link]) -> tuple[tuple[int, ...], int, list[Link
                         nw.add(ru)
         parent[rv] = ru
         neigh[rv] = None  # rv is no longer a root, so nothing reads it again
+    del order  # not read again, so a degree order built here is freed now
 
     index: dict[int, int] = {}
     members = [index.setdefault(find(u), len(index)) for u in range(g.node_count)]

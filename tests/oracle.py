@@ -19,7 +19,9 @@ was computed with, one standalone ``supernode_tree`` graph per super-node
 in one pass over the forest of internal links; the two must agree bit for bit.
 ``quotient_graph`` builds the quotient of a membership by rescanning every
 link, as the library's skeletons were built before they were read from the
-merge pass; the skeletons must equal it.
+merge pass; the skeletons must equal it. ``reference_graph`` is the
+``Graph._trusted`` build that held a list for every node until the last link
+was read and only then made the tuples; the library's build must equal it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,27 @@ from netskel.graph import Graph, Link
 
 UNREACHABLE = -1
 UNDERFLOW_THRESHOLD = 1e-300
+
+
+def reference_graph(
+    node_count: int, links: Sequence[tuple[int, int]], labels: Sequence[str] | None = None
+) -> Graph:
+    """Graph._trusted with every neighbour list turned into its tuple only
+    after the last link is read."""
+    normalized = sorted(link if link[0] < link[1] else (link[1], link[0]) for link in links)
+    neighbors: list = [[] for _ in range(node_count)]
+    for u, v in normalized:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    for i, adj in enumerate(neighbors):
+        neighbors[i] = tuple(adj)
+    return Graph(
+        node_count=node_count,
+        links=tuple(normalized),
+        labels=tuple(str(i) for i in range(node_count)) if labels is None else tuple(labels),
+        adjacency=tuple(neighbors),
+        degrees=tuple(map(len, neighbors)),
+    )
 
 
 def brute_force_pair_bits(g: Graph, s: int, d: int) -> float:

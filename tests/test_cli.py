@@ -71,17 +71,28 @@ def reject_constant(name):
 GRAPH_COMMANDS = ("info", "contract", "minimize", "estimate", "randomize", "search-info")
 
 
+# finite values at the ends of the float range, zero and negatives
+EDGE_FLOATS = [1e308, -1e308, 1e-308, -1e-308, 0.0, -0.0, -1.0, 5e-324]
+
+
 @st.composite
 def graph_commands(draw, command) -> list[str]:
     """Arguments of a subcommand that reads a graph from stdin, with a seed
-    from +-2^63 and trial and attempt counts from 1-5."""
+    from +-2^63, trial and attempt counts from 1-5, and up to two --constants
+    pairs of any finite value for estimate."""
     seed = f"--seed={draw(st.integers(-(2**63), 2**63))}"
     count = draw(st.integers(1, 5))
+    value = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    name = st.sampled_from(["inverse_amplitude", "inverse_exponent"])
+    constants = [
+        f"--constants={key}={number!r}"
+        for key, number in draw(st.lists(st.tuples(name, value), max_size=2))
+    ]
     options = {
         "info": [[]],
         "contract": [[], ["--format=dot"], ["--strategy=random", seed]],
         "minimize": [[f"--trials={count}", seed, f"--format={f}"] for f in ("json", "csv", "dot")],
-        "estimate": [[]],
+        "estimate": [constants],
         "randomize": [[f"--attempts={count}", seed]],
         "search-info": [[], ["--pairs", "--format=csv"]],
     }[command]

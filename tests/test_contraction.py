@@ -298,6 +298,33 @@ class TestTreeContract:
         for g in contraction_corpus(karate):
             assert ns.tree_contract(g) == ns.tree_contract(g, ns.order_links_degree(g))
 
+    def test_no_order_frees_the_degree_order_before_the_read_out(self, large_sparse_text):
+        """With no order, the merge frees the degree order it built before it
+        reads out the membership and the skeleton's links, so the contraction
+        peaks no higher than with that order held by the caller (as much as the
+        whole order higher when the order lived through the read-out). A
+        contraction runs once before the measured ones, so CPython's free
+        lists are already full."""
+        g = ns.load_edge_list(large_sparse_text)
+        tracemalloc.start()
+        try:
+            order = ns.order_links_degree(g)
+            order_bytes = tracemalloc.get_traced_memory()[0]
+            ns.tree_contract(g, order)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ns.tree_contract(g, order)
+            given_peak = tracemalloc.get_traced_memory()[1] - before
+            del order
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ns.tree_contract(g)
+            own_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        excess = (own_peak - given_peak) / order_bytes
+        assert excess <= 0.2, f"{excess:.2f} times the order's memory above a given order"
+
     def test_skeleton_is_quotient_graph(self, karate):
         for g in contraction_corpus(karate):
             simp = ns.tree_contract(g, ns.order_links_random(g, 5))
