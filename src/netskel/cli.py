@@ -358,11 +358,14 @@ def run(
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    options = argv[: argv.index("--")] if "--" in argv else argv
     try:
-        args = parser.parse_args(argv)
-        # argparse before Python 3.13 reads "--name=--" as a list of no values
-        if any(value == [] or type(value) is list and [] in value for value in vars(args).values()):
+        # argparse reads "--name=--" as a list of no values before Python 3.13
+        # and as the value "--" from 3.13 on, so it is refused here on every one
+        if any(arg.startswith("--") and arg.partition("=")[2] == "--" for arg in options):
             parser.error("expected one argument")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

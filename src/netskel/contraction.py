@@ -28,8 +28,8 @@ TRIAL_WORK_PER_LINK = 20
 
 # The most neighbouring roots _merge keeps in a tuple rather than a set: a
 # CPython set never takes less memory than its 8-slot table. Testing, merging
-# or relabelling a tuple this short costs O(8), and a root that outgrows it
-# gets a set for good, so hubs still update in O(1) and no merge order turns
+# or relabelling a tuple this short costs O(8), and a root with more gets a
+# set for good, so hubs still update in O(1) and no merge order turns
 # quadratic.
 SHORT_NEIGHBOURS = 8
 
@@ -107,7 +107,8 @@ def tree_contract(g: Graph, order: list[Link] | None = None) -> SimplifiedNetwor
     require_connected(g)
     if order is not None and sorted(order) != list(g.links):
         raise NetskelError("order must be a permutation of the graph's links")
-    return _network(g, *_merge(g, order))
+    membership, group_count, links = _merge(g, order)
+    return SimplifiedNetwork(g, _skeleton(group_count, links), membership)
 
 
 def _merge(g: Graph, order: list[Link] | None) -> tuple[tuple[int, ...], int, list[Link]]:
@@ -121,15 +122,16 @@ def _merge(g: Graph, order: list[Link] | None) -> tuple[tuple[int, ...], int, li
     super-node's internal links are all of g's links between its members: the
     membership holds the whole contraction (SimplifiedNetwork.supernodes).
 
-    Each root holds exactly its neighbouring roots, from its adjacency tuple
-    in g on. Once changed, they are a tuple while there are at most
-    SHORT_NEIGHBOURS of them, and a set for good once there are more. Two
-    short roots are tested entry by entry, so a refusal leaves both tuples as
-    they were, and an accepted merge whose result stays short leaves a tuple;
-    a relabel rebuilds a short tuple. A root that absorbs a dangling
-    super-node (one whose only neighbour it is) drops that entry without the
-    disjointness test or a relabel. A negative parent marks a root, so the
-    union-find stores only ints that g's links already hold."""
+    Each root holds exactly its neighbouring roots: a tuple while there are
+    at most SHORT_NEIGHBOURS of them, from its adjacency tuple in g on, and a
+    set for good once there are more, so a tuple is always short. A set root
+    is tested with isdisjoint and updated in place; a root it absorbs that
+    dangles from it (whose only neighbour it is) costs one remove and no
+    test. Two tuple roots are tested entry by entry, so a refusal leaves both
+    as they were, and only an accepted merge picks a tuple or a set for the
+    result. A relabel rebuilds a tuple through a list. A negative parent
+    marks a root, so the union-find stores only ints that g's links already
+    hold."""
     if order is None:
         order = order_links_degree(g)
     parent = [-1] * g.node_count
@@ -142,58 +144,45 @@ def _merge(g: Graph, order: list[Link] | None) -> tuple[tuple[int, ...], int, li
             x = up
         return x
 
-    neigh: list = list(g.adjacency)
+    neigh: list = [ns if len(ns) <= SHORT_NEIGHBOURS else set(ns) for ns in g.adjacency]
     for u, v in order:
         ru, rv = find(u), find(v)
         large, small = neigh[ru], neigh[rv]
         if len(large) < len(small):
             ru, rv, large, small = rv, ru, small, large
-        if len(small) == 1:  # rv dangles from ru: nothing is shared or relabelled
-            if type(large) is set:
-                large.remove(rv)
-            elif len(large) <= SHORT_NEIGHBOURS:
-                i = large.index(rv)
-                neigh[ru] = large[:i] + large[i + 1 :]
-            else:
-                large = neigh[ru] = set(large)
-                large.remove(rv)
-        else:
+        if type(large) is set:
             # ru and rv are neighbors and neither is its own, so the two meet
-            # exactly in the shared neighbors
-            if type(large) is tuple and len(large) <= SHORT_NEIGHBOURS:
-                # two short roots: small's entries are looked up in the tuple,
-                # and only an accepted merge gathers both in a list
-                for w in small:
-                    if w in large:
-                        break
-                else:
-                    large = [*large, *small]
-                if type(large) is tuple:
-                    continue  # merge would create a multilink
-            else:
-                if type(large) is tuple:
-                    large = neigh[ru] = set(large)
+            # exactly in the shared neighbors; a dangling rv (whose only
+            # neighbour is ru) shares none and leaves nothing to relabel
+            if len(small) > 1:
                 if not large.isdisjoint(small):
                     continue  # merge would create a multilink
                 large.update(small)
+                large.remove(ru)
+            large.remove(rv)
+        else:
+            # two short roots: small's entries are looked up in the tuple,
+            # and only an accepted merge gathers both in a list
+            for w in small:
+                if w in large:
+                    break
+            else:
+                large = [*large, *small]
+            if type(large) is tuple:
+                continue  # merge would create a multilink
             large.remove(rv)
             large.remove(ru)
-            if type(large) is list:
-                neigh[ru] = tuple(large) if len(large) <= SHORT_NEIGHBOURS else set(large)
-            for w in small:
-                if w != ru:
-                    nw = neigh[w]
-                    if type(nw) is set:
-                        nw.discard(rv)
-                        nw.add(ru)
-                    elif len(nw) <= SHORT_NEIGHBOURS:
-                        nw = list(nw)
-                        nw[nw.index(rv)] = ru
-                        neigh[w] = tuple(nw)
-                    else:
-                        nw = neigh[w] = set(nw)
-                        nw.discard(rv)
-                        nw.add(ru)
+            neigh[ru] = tuple(large) if len(large) <= SHORT_NEIGHBOURS else set(large)
+        for w in small:
+            if w != ru:
+                nw = neigh[w]
+                if type(nw) is set:
+                    nw.discard(rv)
+                    nw.add(ru)
+                else:
+                    nw = list(nw)
+                    nw[nw.index(rv)] = ru
+                    neigh[w] = tuple(nw)
         parent[rv] = ru
         neigh[rv] = None  # rv is no longer a root, so nothing reads it again
     del order  # not read again, so a degree order built here is freed now
@@ -211,13 +200,6 @@ def _merge(g: Graph, order: list[Link] | None) -> tuple[tuple[int, ...], int, li
 def _skeleton(group_count: int, links: list[Link]) -> Graph:
     """The skeleton graph over super-nodes labelled s0, s1, ... from _merge's links."""
     return Graph._trusted(group_count, links, tuple(f"s{i}" for i in range(group_count)))
-
-
-def _network(
-    g: Graph, membership: tuple[int, ...], group_count: int, links: list[Link]
-) -> SimplifiedNetwork:
-    """The SimplifiedNetwork of a _merge result."""
-    return SimplifiedNetwork(g, _skeleton(group_count, links), membership)
 
 
 def skeleton_bits(skeleton: Graph) -> float:
@@ -258,9 +240,10 @@ def _rebuild(
     g: Graph, seed: int, sample: ContractionSample
 ) -> tuple[SimplifiedNetwork, SimplifiedSearchInfo]:
     """The network and info of a minimize sample, by merging its order again."""
-    merged = _merge(g, order_links_random(g, derive_seed(seed, sample.trial)))
-    h_super = _supernode_bits(g, merged[0])
-    return _network(g, *merged), _info(sample.h_skeleton, h_super)
+    order = order_links_random(g, derive_seed(seed, sample.trial))
+    membership, group_count, links = _merge(g, order)
+    network = SimplifiedNetwork(g, _skeleton(group_count, links), membership)
+    return network, _info(sample.h_skeleton, _supernode_bits(g, membership))
 
 
 def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:

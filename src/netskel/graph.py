@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConnectivityError, ParseError, ValidationError
@@ -197,9 +196,8 @@ def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
         if labels[start] != -1:
             continue
         labels[start] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        queue = [start]
+        for u in queue:  # the list grows as the walk reaches new nodes
             for v in g.adjacency[u]:
                 if labels[v] == -1:
                     labels[v] = count

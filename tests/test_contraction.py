@@ -638,3 +638,38 @@ class TestScaling:
             gc.enable()
         ratio = best[8000] / best[4000]
         assert ratio < 2.5, f"time(8000)/time(4000) = {ratio:.2f}"
+
+    def test_star_hub_drops_each_leaf_with_one_remove(self, monkeypatch):
+        """The test above counted in calls rather than seconds: every merge of
+        a star absorbs a dangling leaf, so the hub's set takes one remove per
+        leaf and no update, discard or add (there is nothing to relabel). An
+        update and two removes per leaf made the star contraction 2.3-2.5 times
+        as slow."""
+        calls = Counter()
+
+        class CountingSet(set):
+            def __init__(self, entries=()):
+                super().__init__(entries)
+                calls["sets"] += 1
+
+            def remove(self, entry):
+                calls["remove"] += 1
+                super().remove(entry)
+
+            def update(self, *others):
+                calls["update"] += 1
+                super().update(*others)
+
+            def discard(self, entry):
+                calls["discard"] += 1
+                super().discard(entry)
+
+            def add(self, entry):
+                calls["add"] += 1
+                super().add(entry)
+
+        monkeypatch.setattr(contraction, "set", CountingSet, raising=False)
+        g = star(8000)
+        simp = ns.tree_contract(g, ns.order_links_random(g, 1))
+        assert simp.skeleton.node_count == 1
+        assert calls == {"sets": 1, "remove": 7999}
