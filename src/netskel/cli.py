@@ -71,7 +71,9 @@ def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name} is not UTF-8 text (byte {exc.start})") from None
-    return graph.load_edge_list(text)
+    # a leading byte-order mark is not part of the first label; it is removed
+    # after decoding, so the byte offset above still counts it
+    return graph.load_edge_list(text.removeprefix("\ufeff"))
 
 
 def _parse_constants(pairs: Optional[Sequence[str]]) -> estimator.ScalingConstants:
@@ -114,7 +116,7 @@ def _emit_dot(simp: contraction.SimplifiedNetwork, out: IO[str]) -> None:
     out.write(graph.to_dot(simp.skeleton, list(map(len, simp.supernodes))))
 
 
-def _cmd_info(args, stdin, stdout) -> int:
+def _cmd_info(args, stdin, stdout) -> None:
     g = _read_graph(args.input, stdin)
     count, _ = graph.connected_components(g)
     _emit_json(
@@ -126,10 +128,9 @@ def _cmd_info(args, stdin, stdout) -> int:
         },
         stdout,
     )
-    return EXIT_OK
 
 
-def _cmd_search_info(args, stdin, stdout) -> int:
+def _cmd_search_info(args, stdin, stdout) -> None:
     if args.format == "csv" and not args.pairs:
         raise NetskelError("csv output for search-info requires --pairs")
     from . import searchinfo
@@ -146,17 +147,15 @@ def _cmd_search_info(args, stdin, stdout) -> int:
             for s, row in enumerate(rows):
                 cells = (f"{labels[s]},{labels[d]},{b:.6g}\n" for d, b in enumerate(row) if d != s)
                 stdout.write("".join(cells))
-            return EXIT_OK
+            return
         # total_bits precedes the pairs in the document, so the pairs are
-        # held, but only once: each row is rounded as the totals consume it
+        # held, but only once: each row is rounded as its sum is taken
         pairs: list[list[float]] = []
-
-        def row_bits(rows):
-            for row in rows:
-                pairs.append([_round6(b) for b in row])
-                yield math.fsum(row)
-
-        report = searchinfo.SearchInfoReport.from_source_bits(g, row_bits(rows))
+        per_source = []
+        for row in rows:
+            per_source.append(math.fsum(row))
+            pairs.append([_round6(b) for b in row])
+        report = searchinfo.SearchInfoReport.from_source_bits(g, per_source)
     doc = _roundtree(
         {
             "n": report.node_count,
@@ -170,10 +169,9 @@ def _cmd_search_info(args, stdin, stdout) -> int:
         doc["pairs"] = pairs
     json.dump(doc, stdout, indent=2)
     stdout.write("\n")
-    return EXIT_OK
 
 
-def _cmd_contract(args, stdin, stdout) -> int:
+def _cmd_contract(args, stdin, stdout) -> None:
     from . import contraction
 
     g = _read_graph(args.input, stdin)
@@ -181,35 +179,27 @@ def _cmd_contract(args, stdin, stdout) -> int:
     simp = contraction.tree_contract(g, order)
     if args.format == "dot":
         _emit_dot(simp, stdout)
-        return EXIT_OK
-    info = contraction.simplified_search_information(simp)
-    _emit_json(_simplification_dict(simp, info, None), stdout)
-    return EXIT_OK
+    else:
+        info = contraction.simplified_search_information(simp)
+        _emit_json(_simplification_dict(simp, info, None), stdout)
 
 
-def _cmd_minimize(args, stdin, stdout) -> int:
+def _cmd_minimize(args, stdin, stdout) -> None:
     from . import contraction
 
     g = _read_graph(args.input, stdin)
     result = contraction.minimize_h_simp(g, args.trials, args.seed)
     if args.format == "csv":
         _emit_csv(result.samples, stdout)
-        return EXIT_OK
-    if args.format == "dot":
+    elif args.format == "dot":
         _emit_dot(result.best, stdout)
-        return EXIT_OK
-    _emit_json(
-        {
-            "trials": args.trials,
-            "best": _simplification_dict(result.best, result.best_info, result.best_trial),
-            "worst": _simplification_dict(result.worst, result.worst_info, result.worst_trial),
-        },
-        stdout,
-    )
-    return EXIT_OK
+    else:
+        best = _simplification_dict(result.best, result.best_info, result.best_trial)
+        worst = _simplification_dict(result.worst, result.worst_info, result.worst_trial)
+        _emit_json({"trials": args.trials, "best": best, "worst": worst}, stdout)
 
 
-def _cmd_estimate(args, stdin, stdout) -> int:
+def _cmd_estimate(args, stdin, stdout) -> None:
     g = _read_graph(args.input, stdin)
     # imported after the parse, so that the parse's peak memory does not sit
     # on top of their code
@@ -224,20 +214,18 @@ def _cmd_estimate(args, stdin, stdout) -> int:
         {"n_original": g.node_count, "n_skeleton": skeleton.node_count, **est._asdict()},
         stdout,
     )
-    return EXIT_OK
 
 
-def _cmd_randomize(args, stdin, stdout) -> int:
+def _cmd_randomize(args, stdin, stdout) -> None:
     from . import generators
 
     g = _read_graph(args.input, stdin)
     attempts = args.attempts if args.attempts is not None else 10 * g.link_count
     rewired = generators.rewire_degree_preserving(g, attempts, args.seed)
     stdout.write(graph.write_edge_list(rewired))
-    return EXIT_OK
 
 
-def _cmd_gen(args, stdin, stdout) -> int:
+def _cmd_gen(args, stdin, stdout) -> None:
     from . import generators
 
     if args.kind == "ring":
@@ -250,10 +238,9 @@ def _cmd_gen(args, stdin, stdout) -> int:
         stdout.write(graph.to_dot(g))
     else:
         stdout.write(graph.write_edge_list(g))
-    return EXIT_OK
 
 
-def _cmd_tree_scaling(args, stdin, stdout) -> int:
+def _cmd_tree_scaling(args, stdin, stdout) -> None:
     from . import generators
 
     rows, fit = generators.tree_scaling_experiment(
@@ -261,13 +248,9 @@ def _cmd_tree_scaling(args, stdin, stdout) -> int:
     )
     if args.format == "csv":
         _emit_csv(rows, stdout)
-        return EXIT_OK
-    doc = {
-        "rows": [r._asdict() for r in rows],
-        "fit": None if fit is None else {**fit._asdict(), "n_points": len(rows)},
-    }
-    _emit_json(doc, stdout)
-    return EXIT_OK
+    else:
+        fit_doc = None if fit is None else {**fit._asdict(), "n_points": len(rows)}
+        _emit_json({"rows": [r._asdict() for r in rows], "fit": fit_doc}, stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="edge-list file, or '-' for stdin")
 
     def add_format(p, choices=("json", "csv", "dot")):
-        p.add_argument("--format", choices=choices, default="json")
+        p.add_argument("--format", choices=choices, default=choices[0])
 
     p = sub.add_parser("info", help="node/link counts, cyclomatic number, components")
     add_input(p)
@@ -331,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=42)
     add_format(p, choices=("edges", "dot"))
-    p.set_defaults(func=_cmd_gen, format="edges")
+    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("tree-scaling", help="random-tree scaling experiment")
     p.add_argument("--min", type=int, default=10)
@@ -369,10 +352,11 @@ def run(
     except SystemExit as exc:
         return EXIT_USAGE_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args, stdin, stdout)
+        args.func(args, stdin, stdout)
     except (NetskelError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_DOMAIN_ERROR
+    return EXIT_OK
 
 
 def main() -> None:

@@ -236,16 +236,6 @@ def _info(h_skeleton: float, h_super: list[float]) -> SimplifiedSearchInfo:
     )
 
 
-def _rebuild(
-    g: Graph, seed: int, sample: ContractionSample
-) -> tuple[SimplifiedNetwork, SimplifiedSearchInfo]:
-    """The network and info of a minimize sample, by merging its order again."""
-    order = order_links_random(g, derive_seed(seed, sample.trial))
-    membership, group_count, links = _merge(g, order)
-    network = SimplifiedNetwork(g, _skeleton(group_count, links), membership)
-    return network, _info(sample.h_skeleton, _supernode_bits(g, membership))
-
-
 def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     """Sample random contraction orderings and track the extremes of h_simp.
 
@@ -254,7 +244,8 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     keys the memo below on the skeleton links of the merge, builds a
     skeleton only on a memo miss and scores every super-node in one forest
     pass. Ties keep the lowest trial index; only the best and worst
-    networks are built, by merging their orders again.
+    networks are built, by tree_contract on their orders, and their
+    skeleton H is the sample's, not walked again.
 
     The trials may be shared among processes (searchinfo._spread), with
     TRIAL_WORK_PER_LINK of work per trial and link; every process keeps its
@@ -292,14 +283,9 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
         samples.append(ContractionSample(trial, int(nodes), h_skeleton, h_super, h_simp))
     best = min(samples, key=lambda sample: sample.h_simp)  # the first of ties
     worst = max(samples, key=lambda sample: sample.h_simp)
-    best_network, best_info = _rebuild(g, seed, best)
-    worst_network, worst_info = _rebuild(g, seed, worst)
-    return MinimizeResult(
-        best=best_network,
-        best_info=best_info,
-        best_trial=best.trial,
-        worst=worst_network,
-        worst_info=worst_info,
-        worst_trial=worst.trial,
-        samples=tuple(samples),
-    )
+
+    def extreme(s: ContractionSample) -> tuple[SimplifiedNetwork, SimplifiedSearchInfo, int]:
+        net = tree_contract(g, order_links_random(g, derive_seed(seed, s.trial)))
+        return net, _info(s.h_skeleton, _supernode_bits(g, net.membership)), s.trial
+
+    return MinimizeResult(*extreme(best), *extreme(worst), tuple(samples))

@@ -191,21 +191,20 @@ def _spread(count: int, work: int, item: Callable[[int], str]) -> list[str]:
     Children forked here take the shares i, i+k, i+2k, ... for i = 1..k-1
     and send their items back over a pipe, while this process takes 0, k,
     2k, ...; an item is one word of ASCII text, such as a float.hex, which
-    round-trips exactly. The share of a child that gets no pipe, cannot be
-    forked, exits nonzero or sends too few words is done here, once every
-    child is reaped, so its items may spread again. Every child is reaped
-    before this returns or raises.
+    round-trips exactly. Every share that no child delivered (its pipe or
+    its fork failed, or its child exited nonzero or sent too few words) is
+    done here once every child is reaped, so its items may spread again.
+    Every child is reaped before this returns or raises.
     """
     global _sharing
     workers = 1 if _sharing else _worker_count(work)
     if not 2 <= workers <= count:
         return [item(i) for i in range(count)]
-    children = []  # (pid, read end of its pipe, its share)
-    local = [range(0, count, workers)]  # the shares done in this process
+    children = {}  # first item of a child's share: (pid, read end of its pipe)
+    items = [""] * count
     _sharing = True
     try:
         for first in range(1, workers):
-            share = range(first, count, workers)
             ends: tuple[int, ...] = ()
             try:
                 ends = read_end, write_end = os.pipe()
@@ -213,25 +212,25 @@ def _spread(count: int, work: int, item: Callable[[int], str]) -> list[str]:
             except OSError:
                 for end in ends:
                     os.close(end)
-                local.append(share)
                 continue
             if pid == 0:
                 os.close(read_end)  # so that a write with no reader left fails
-                _send_share(item, share, write_end)
+                _send_share(item, range(first, count, workers), write_end)
             os.close(write_end)
-            children.append((pid, open(read_end, "rb"), share))
-        items = [""] * count
-        for share in local:
-            items[share.start :: workers] = map(item, share)
-        texts = [pipe.read().decode("ascii").split() for _, pipe, _ in children]
+            children[first] = pid, open(read_end, "rb")
+        items[::workers] = map(item, range(0, count, workers))
+        texts = {
+            first: pipe.read().decode("ascii").split() for first, (_, pipe) in children.items()
+        }
     finally:
         _sharing = False
-        for _, pipe, _ in children:
+        for _, pipe in children.values():
             pipe.close()  # a child still writing gets EPIPE and exits
-        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
-    for (_, _, share), text, status in zip(children, texts, statuses):
-        lost = status != 0 or len(text) != len(share)
-        items[share.start :: workers] = map(item, share) if lost else text
+        sent = {first for first, (pid, _) in children.items() if os.waitpid(pid, 0)[1] == 0}
+    for first in range(1, workers):
+        share = range(first, count, workers)
+        words = texts[first] if first in sent else ()
+        items[first::workers] = words if len(words) == len(share) else map(item, share)
     return items
 
 

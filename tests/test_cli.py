@@ -486,6 +486,19 @@ class TestDeterminismAndErrors:
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr == b"error: stdin is not UTF-8 text (byte 4)\n"
 
+    def test_byte_order_mark_on_stdin_is_not_a_label(self):
+        # with the mark kept, "\ufeffa" and "a" were two labels and "b a" no duplicate
+        proc = invoke_process(["info", "-"], b"\xef\xbb\xbfa b\nb a\n")
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: line 2: duplicate edge 'b' -- 'a'\n"
+
+    def test_byte_order_mark_in_file_is_skipped(self, karate, tmp_path):
+        plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+        plain.write_text(ns.write_edge_list(karate), encoding="utf-8")
+        marked.write_text(ns.write_edge_list(karate), encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert invoke(["info", str(marked)]) == invoke(["info", str(plain)])
+
     def test_parse_error_exit_1(self):
         code, _, err = invoke(["info", "-"], "a b c\n")
         assert code == 1

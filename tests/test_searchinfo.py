@@ -453,6 +453,31 @@ class TestForkedWorkers:
         assert not nested.exists()
         self.assert_no_child_left()
 
+    def test_share_of_a_failed_fork_spreads_when_redone(self, tmp_path):
+        # the share of item 1 gets no child, so it is redone after the reap,
+        # where its nested _spread may fork; items 0 and 2 nest without forking
+        parent, forks, fork = os.getpid(), [], os.fork
+        nested = tmp_path / "nested"
+
+        def failing_first_fork():
+            if os.getpid() != parent:
+                nested.write_text("forked in a worker")
+            forks.append(None)
+            if len(forks) == 1:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return fork()
+
+        def inner(i):
+            return ",".join(searchinfo._spread(4, 100, lambda j: str(4 * i + j)))
+
+        with forking() as mp:
+            mp.setattr(os, "fork", failing_first_fork)
+            got = searchinfo._spread(3, 100, inner)
+        assert got == [",".join(str(4 * i + j) for j in range(4)) for i in range(3)]
+        assert len(forks) == 4
+        assert not nested.exists()
+        self.assert_no_child_left()
+
     def test_failed_share_lets_the_next_call_fork(self, karate):
         parent, forks, fork = os.getpid(), [], os.fork
         source_bits = searchinfo._source_bits
