@@ -79,10 +79,8 @@ def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
 def _parse_constants(pairs: Optional[Sequence[str]]) -> estimator.ScalingConstants:
     from . import estimator
 
-    if not pairs:
-        return estimator.ScalingConstants()
     overrides = {}
-    for pair in pairs:
+    for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep or key not in ("inverse_amplitude", "inverse_exponent"):
             raise NetskelError(f"unknown constant override {pair!r}")
@@ -100,12 +98,12 @@ def _simplification_dict(
 ) -> dict:
     return {
         "skeleton_nodes": simp.skeleton.node_count,
-        "skeleton_edges": [list(l) for l in simp.skeleton.links],
+        "skeleton_edges": simp.skeleton.links,
         "supernode_members": [
             [simp.original.labels[m] for m in members] for members in simp.supernodes
         ],
         "h_skeleton": info.h_skeleton,
-        "h_supernodes": list(info.h_supernodes),
+        "h_supernodes": info.h_supernodes,
         "h_simp": info.h_simp,
         "trial_index": trial_index,
     }

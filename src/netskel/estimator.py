@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DegenerateFitError, NetskelError
 
@@ -77,6 +77,19 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     return PowerLawFit(amplitude=math.exp(intercept), exponent=slope, r_squared=r2)
 
 
+def _finite(power_law: Callable[[], float], c: ScalingConstants, kind: str) -> float:
+    """power_law(), refused with a one-line NetskelError that names the constants
+    of its kind ("inverse" or "tree") when it overflows or is not finite."""
+    try:
+        bits = power_law()
+    except (OverflowError, ZeroDivisionError):
+        bits = math.inf
+    if not math.isfinite(bits):
+        named = " and ".join(f"{k}={v}" for k, v in c._asdict().items() if k.startswith(kind))
+        raise NetskelError(f"estimate is not finite with {named}")
+    return bits
+
+
 def estimate_h_from_skeleton(
     h_skeleton: float,
     n_skeleton: int,
@@ -86,25 +99,7 @@ def estimate_h_from_skeleton(
     """Approximate the original network's search information from its skeleton:
     inverse_amplitude * (n_skeleton / n_original)^(-inverse_exponent) * h_skeleton.
     """
-    if n_skeleton <= 0:
-        raise NetskelError(f"n_skeleton must be positive, got {n_skeleton}")
-    if n_skeleton > n_original:
-        raise NetskelError(
-            f"skeleton ({n_skeleton} nodes) cannot exceed the original ({n_original})"
-        )
-    if not 0 <= h_skeleton < math.inf:
-        raise NetskelError(f"h_skeleton must be finite and non-negative, got {h_skeleton}")
-    ratio = n_skeleton / n_original
-    try:
-        bits = c.inverse_amplitude * ratio ** (-c.inverse_exponent) * h_skeleton
-    except OverflowError:
-        bits = math.inf
-    if not math.isfinite(bits):
-        raise NetskelError(
-            f"estimate is not finite with inverse_amplitude={c.inverse_amplitude} "
-            f"and inverse_exponent={c.inverse_exponent}"
-        )
-    return bits
+    return skeleton_estimate(h_skeleton, n_skeleton, n_original, c).estimate_bits
 
 
 def skeleton_estimate(
@@ -114,21 +109,26 @@ def skeleton_estimate(
     c: ScalingConstants = ScalingConstants(),
 ) -> SkeletonEstimate:
     """estimate_h_from_skeleton plus the low-confidence flag for small skeletons."""
-    bits = estimate_h_from_skeleton(h_skeleton, n_skeleton, n_original, c)
+    if n_skeleton <= 0:
+        raise NetskelError(f"n_skeleton must be positive, got {n_skeleton}")
+    if n_skeleton > n_original:
+        raise NetskelError(
+            f"skeleton ({n_skeleton} nodes) cannot exceed the original ({n_original})"
+        )
+    if not 0 <= h_skeleton < math.inf:
+        raise NetskelError(f"h_skeleton must be finite and non-negative, got {h_skeleton}")
     ratio = n_skeleton / n_original
-    return SkeletonEstimate(
-        h_skeleton=h_skeleton,
-        ratio=ratio,
-        estimate_bits=bits,
-        low_confidence=ratio < RELIABLE_RATIO,
+    bits = _finite(
+        lambda: c.inverse_amplitude * ratio ** (-c.inverse_exponent) * h_skeleton, c, "inverse"
     )
+    return SkeletonEstimate(h_skeleton, ratio, bits, low_confidence=ratio < RELIABLE_RATIO)
 
 
 def approx_h_tree(n: int, c: ScalingConstants = ScalingConstants()) -> float:
     """Average-tree scaling: tree_amplitude * n^tree_exponent."""
     if n < 1:
         raise NetskelError(f"n must be positive, got {n}")
-    return c.tree_amplitude * n ** c.tree_exponent
+    return _finite(lambda: c.tree_amplitude * n ** c.tree_exponent, c, "tree")
 
 
 def relative_error(estimate: float, actual: float) -> float:

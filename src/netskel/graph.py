@@ -184,7 +184,8 @@ def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[L
 
 
 def write_edge_list(g: Graph) -> str:
-    """Inverse of load_edge_list; preserves the link set and labels."""
+    """Inverse of load_edge_list; preserves the link set and the labels of
+    linked nodes. A node with no link is not written, so it does not read back."""
     return "".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in g.links)
 
 

@@ -18,8 +18,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional,
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
 
-UNREACHABLE = -1
-
 # Below this probability the per-source DP switches to log-space
 # accumulation; plain products would denormalize/underflow.
 UNDERFLOW_THRESHOLD = 1e-300
@@ -67,12 +65,13 @@ def _log_row(g: Graph, source: int) -> list[float]:
     log-sum-exp of log2 A(u) - log2(k_u - 1) over those neighbors (or
     -log2 k_s on the first hop). fsum rounds correctly and max ignores
     order, so summing in adjacency order gives the same bits as in pop
-    order.
+    order. An unreached node is at distance N, as in _walk.
     """
     adjacency, degrees = g.adjacency, g.degrees
     log2 = math.log2
-    dist = [UNREACHABLE] * g.node_count
-    la = [-math.inf] * g.node_count
+    n = g.node_count
+    dist = [n] * n
+    la = [-math.inf] * n
     dist[source] = 0
     la[source] = 0.0
     order = list(adjacency[source])
@@ -86,7 +85,7 @@ def _log_row(g: Graph, source: int) -> list[float]:
             top = max(terms)
             la[v] = top + log2(math.fsum(2.0 ** (t - top) for t in terms))
         for w in adjacency[v]:
-            if dist[w] == UNREACHABLE:
+            if dist[w] == n:
                 dist[w] = dv + 1
                 order.append(w)
     return [0.0 - x for x in la]

@@ -104,8 +104,9 @@ class TestEstimateFromSkeleton:
             (0.0, 1, 4, {"inverse_exponent": 1e308}),  # the power overflows
             (0.0, 1, 4, {"inverse_exponent": 100, "inverse_amplitude": 1e300}),  # inf * 0
             (15.5, 4, 8, {"inverse_exponent": 1000, "inverse_amplitude": 1e300}),  # inf
+            (1.0, 1, 10**400, {}),  # the ratio underflows to 0.0; 0.0 ** -2.35 divides by zero
         ],
-        ids=["overflow", "nan", "infinity"],
+        ids=["overflow", "nan", "infinity", "underflow"],
     )
     def test_rejects_non_finite_estimate(self, h_skeleton, n_skeleton, n_original, constants):
         c = ns.ScalingConstants(**constants)
@@ -129,6 +130,13 @@ class TestApproxHTree:
     def test_rejects_zero(self):
         with pytest.raises(NetskelError):
             ns.approx_h_tree(0)
+
+    @pytest.mark.parametrize(
+        "n", [10**125, 10**400], ids=["power-overflows", "n-too-large-for-a-float"]
+    )
+    def test_rejects_non_finite_estimate(self, n):
+        with pytest.raises(NetskelError, match="not finite"):
+            ns.approx_h_tree(n)
 
 
 class TestRelativeError:

@@ -262,6 +262,23 @@ class TestFusedKernelMatchesReference:
             want = oracle._walk_log2_probabilities(g, s, *oracle._bfs(g, s))
             assert hexes(searchinfo._log_row(g, s)) == hexes([0.0 - x for x in want])
 
+    @settings(max_examples=100)
+    @given(st.lists(connected_graphs(), min_size=2, max_size=3))
+    def test_log_row_marks_unreached_nodes_as_reference_walk(self, parts):
+        """On a disjoint union of connected graphs, every node of another
+        component is inf, and the rest of the row matches bit for bit."""
+        links, offset, component = [], 0, []
+        for part in parts:
+            links += [(u + offset, v + offset) for u, v in part.links]
+            component += [offset] * part.node_count
+            offset += part.node_count
+        g = ns.Graph.from_links(offset, links)
+        for s in range(g.node_count):
+            want = oracle._walk_log2_probabilities(g, s, *oracle._bfs(g, s))
+            row = searchinfo._log_row(g, s)
+            assert hexes(row) == hexes([0.0 - x for x in want])
+            assert [x == math.inf for x in row] == [c != component[s] for c in component]
+
     def test_log_space_fallback_bitwise(self, monkeypatch):
         # hub 0 and hub k underflow; from the middle hub every A stays above
         # the threshold, as it does from a pendant leaf next to the middle
