@@ -10,14 +10,13 @@ original graph's cyclomatic number.
 from __future__ import annotations
 
 import math
-import random
 from itertools import chain
 from typing import NamedTuple
 
 from .errors import NetskelError
 from .graph import Graph, Link, require_connected
 from .searchinfo import _all_source_bits, _forest_total_bits, _spread
-from .seeding import derive_seed
+from .seeding import derive_seed, seeded_random
 
 
 # What one minimize trial costs per link of the graph, in the N*L units of
@@ -80,7 +79,7 @@ class MinimizeResult(NamedTuple):
 def order_links_random(g: Graph, seed: int) -> list[Link]:
     """Uniform random permutation of g's links, deterministic per seed."""
     links = list(g.links)
-    random.Random(seed).shuffle(links)
+    seeded_random(seed).shuffle(links)
     return links
 
 
@@ -249,8 +248,8 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
 
     The trials may be shared among processes (searchinfo._spread), with
     TRIAL_WORK_PER_LINK of work per trial and link; every process keeps its
-    own memo. Scores come back as float.hex text, so the result is the serial
-    one bit for bit.
+    own memo. Scores come back as values marshal writes, so the result is the
+    serial one bit for bit.
     """
     if trials < 1:
         raise NetskelError(f"trials must be positive, got {trials}")
@@ -263,24 +262,20 @@ def minimize_h_simp(g: Graph, trials: int, seed: int) -> MinimizeResult:
     # adds about 0.25 MiB of peak RSS).
     skeleton_memo: dict[tuple[int, str], float] = {}
 
-    def score(trial: int) -> str:
-        """The trial's skeleton nodes, skeleton H and super-node H total, as
-        one word of text that round-trips exactly."""
+    def score(trial: int) -> tuple[int, float, float]:
+        """The trial's skeleton nodes, skeleton H and super-node H total."""
         membership, group_count, links = _merge(g, order_links_random(g, derive_seed(seed, trial)))
         key = (group_count, " ".join(map(str, chain.from_iterable(links))))
         h_skeleton = skeleton_memo.get(key)
         if h_skeleton is None:
             h_skeleton = skeleton_memo[key] = skeleton_bits(_skeleton(group_count, links))
-        h_super = sum(_supernode_bits(g, membership))
-        return f"{group_count},{h_skeleton.hex()},{h_super.hex()}"
+        return group_count, h_skeleton, sum(_supernode_bits(g, membership))
 
-    words = _spread(trials, trials * g.link_count * TRIAL_WORK_PER_LINK, score)
-    samples = []
-    for trial, word in enumerate(words):
-        nodes, *bits = word.split(",")
-        h_skeleton, h_super = map(float.fromhex, bits)
-        h_simp = h_skeleton + h_super
-        samples.append(ContractionSample(trial, int(nodes), h_skeleton, h_super, h_simp))
+    scores = _spread(trials, trials * g.link_count * TRIAL_WORK_PER_LINK, score)
+    samples = [
+        ContractionSample(trial, nodes, h_skeleton, h_super, h_skeleton + h_super)
+        for trial, (nodes, h_skeleton, h_super) in enumerate(scores)
+    ]
     best = min(samples, key=lambda sample: sample.h_simp)  # the first of ties
     worst = max(samples, key=lambda sample: sample.h_simp)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from typing import NamedTuple, Optional
 
 from .errors import NetskelError
@@ -15,7 +14,7 @@ from .errors import NetskelError
 # item 2 has the tracer load them itself).
 from .estimator import PowerLawFit, fit_power_law
 from .graph import Graph, require_connected
-from .seeding import derive_seed
+from .seeding import derive_seed, seeded_random
 
 
 class TreeScalingRow(NamedTuple):
@@ -43,7 +42,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
         raise NetskelError(f"tree needs at least 1 node, got {n}")
     if n == 1:
         return Graph._trusted(1, [])
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
@@ -80,7 +79,7 @@ def rewire_degree_preserving(g: Graph, swap_attempts: int, seed: int) -> Graph:
         raise NetskelError(f"swap_attempts must be positive, got {swap_attempts}")
     if g.link_count < 2:
         return g
-    rng = random.Random(seed)
+    rng = seeded_random(seed)
     edges = list(g.links)
     adj: list[set[int]] = [set(ns) for ns in g.adjacency]
     # mark[w] is the stamp of the side that last reached w; each call takes two

@@ -10,10 +10,11 @@ never by path enumeration.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import threading
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
@@ -167,20 +168,20 @@ def _worker_count(work: int) -> int:
     return min(len(os.sched_getaffinity(0)), work // FORK_BREAK_EVEN_WORK)
 
 
-def _send_share(item: Callable[[int], str], share: range, write_end: int) -> NoReturn:
-    """In a forked child: send item(i) for each i of the share over the pipe,
-    space-separated, and leave with status 0, or 1 on any failure, without
+def _send_share(item: Callable[[int], Any], share: range, write_end: int) -> NoReturn:
+    """In a forked child: marshal the list of item(i) for each i of the share
+    into the pipe, and leave with status 0, or 1 on any failure, without
     running the parent's exit handlers or flushing its buffers."""
     status = 1
     try:
         with open(write_end, "wb") as pipe:
-            pipe.write(" ".join(map(item, share)).encode("ascii"))
+            marshal.dump(list(map(item, share)), pipe)
         status = 0
     finally:
         os._exit(status)
 
 
-def _spread(count: int, work: int, item: Callable[[int], str]) -> list[str]:
+def _spread(count: int, work: int, item: Callable[[int], Any]) -> list[Any]:
     """[item(i) for i in range(count)], where work (in N*L units) is what
     all the items cost: shared among k = _worker_count(work) processes if
     2 <= k <= count and no _spread is sharing already, else run here. With
@@ -189,18 +190,18 @@ def _spread(count: int, work: int, item: Callable[[int], str]) -> list[str]:
 
     Children forked here take the shares i, i+k, i+2k, ... for i = 1..k-1
     and send their items back over a pipe, while this process takes 0, k,
-    2k, ...; an item is one word of ASCII text, such as a float.hex, which
-    round-trips exactly. Every share that no child delivered (its pipe or
-    its fork failed, or its child exited nonzero or sent too few words) is
-    done here once every child is reaped, so its items may spread again.
-    Every child is reaped before this returns or raises.
+    2k, ...; an item is a value marshal writes (a float, an int or a tuple
+    of them), which round-trips exactly. Every share that no child sent
+    (its pipe or its fork failed, or its child exited nonzero or sent too
+    few items) is done here once every child is reaped, so its items may
+    spread again. Every child is reaped before this returns or raises.
     """
     global _sharing
     workers = 1 if _sharing else _worker_count(work)
     if not 2 <= workers <= count:
         return [item(i) for i in range(count)]
     children = {}  # first item of a child's share: (pid, read end of its pipe)
-    items = [""] * count
+    items: list[Any] = [None] * count
     _sharing = True
     try:
         for first in range(1, workers):
@@ -218,9 +219,7 @@ def _spread(count: int, work: int, item: Callable[[int], str]) -> list[str]:
             os.close(write_end)
             children[first] = pid, open(read_end, "rb")
         items[::workers] = map(item, range(0, count, workers))
-        texts = {
-            first: pipe.read().decode("ascii").split() for first, (_, pipe) in children.items()
-        }
+        payloads = {first: pipe.read() for first, (_, pipe) in children.items()}
     finally:
         _sharing = False
         for _, pipe in children.values():
@@ -228,8 +227,8 @@ def _spread(count: int, work: int, item: Callable[[int], str]) -> list[str]:
         sent = {first for first, (pid, _) in children.items() if os.waitpid(pid, 0)[1] == 0}
     for first in range(1, workers):
         share = range(first, count, workers)
-        words = texts[first] if first in sent else ()
-        items[first::workers] = words if len(words) == len(share) else map(item, share)
+        got = marshal.loads(payloads[first]) if first in sent and payloads[first] else ()
+        items[first::workers] = got if len(got) == len(share) else map(item, share)
     return items
 
 
@@ -237,11 +236,10 @@ def _all_source_bits(g: Graph) -> list[float]:
     """_source_bits of every source of a connected graph, in index order.
 
     The sources may be shared among processes (_spread), which send their
-    bits as float.hex text; the list is the serial one bit for bit.
+    bits as values marshal writes; the list is the serial one bit for bit.
     """
     n = g.node_count
-    words = _spread(n, n * g.link_count, lambda s: float.hex(_source_bits(g, s)))
-    return list(map(float.fromhex, words))
+    return _spread(n, n * g.link_count, lambda s: _source_bits(g, s))
 
 
 def search_information_rows(g: Graph) -> Iterator[list[float]]:

@@ -170,18 +170,6 @@ class TestTreeContract:
         with pytest.raises(NetskelError, match="permutation"):
             ns.tree_contract(g, list(g.links)[:-1])
 
-    def test_invariants_on_random_corpus(self, karate):
-        rng = random.Random(5)
-        graphs = [karate] + [
-            random_connected_graph(rng.randint(5, 30), 0.25, rng.randrange(1 << 30))
-            for _ in range(20)
-        ]
-        graphs += [hub(d) for d in (7, 8, 9, 10)] + [wheel(12)]
-        for g in graphs:
-            for trial in range(3):
-                simp = ns.tree_contract(g, ns.order_links_random(g, trial))
-                check_simplified_invariants(g, simp)
-
     def test_matches_reference(self, karate):
         for g in contraction_corpus(karate):
             orders = [ns.order_links_random(g, t) for t in range(4)]
@@ -191,6 +179,7 @@ class TestTreeContract:
                 assert simp.membership == membership
                 assert supernodes_with_links(g, simp) == supernodes
                 assert list(simp.skeleton.links) == skeleton_links
+                check_simplified_invariants(g, simp)
 
     @settings(max_examples=60)
     @given(connected_graphs(), st.integers(0, 2**30))

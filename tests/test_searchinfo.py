@@ -448,6 +448,18 @@ class TestForkedWorkers:
         assert not other.is_alive()
         assert got == want
 
+    def test_children_send_values_bitwise(self):
+        # a negative zero, a subnormal and an int beyond 64 bits come back as
+        # they are; the pid shows which process ran each item
+        here = os.getpid()
+        with forking():
+            got = searchinfo._spread(6, 100, lambda i: (i, os.getpid(), -0.0, 5e-324, 2**70))
+        assert [bitwise(item[:1] + item[2:]) for item in got] == [
+            bitwise((i, -0.0, 5e-324, 2**70)) for i in range(6)
+        ]
+        assert [item[1] == here for item in got] == [i % 3 == 0 for i in range(6)]
+        self.assert_no_child_left()
+
     def test_nested_spread_runs_in_its_share(self, tmp_path):
         # the children inherit the counting fork and report any call to a file
         parent, forks, fork = os.getpid(), [], os.fork
