@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from itertools import chain, islice
 from typing import IO, Optional, Sequence
 
 # Each subcommand imports the other modules it calls, so that a command
@@ -24,23 +25,28 @@ EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE_ERROR = 2
 
 
-def _round6(x: float) -> float:
-    return float(f"{x:.6g}")
-
-
 def _roundtree(obj):
+    """obj with every float rounded to 6 significant digits. Lists are rounded
+    in place, so the N^2 pairs of search-info are never held twice."""
     if isinstance(obj, float):
-        return _round6(obj)
+        return float(f"{obj:.6g}")
     if isinstance(obj, dict):
         return {k: _roundtree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, tuple):
         return [_roundtree(v) for v in obj]
+    if isinstance(obj, list):
+        obj[:] = map(_roundtree, obj)
     return obj
 
 
 def _emit_json(obj, out: IO[str]) -> None:
-    json.dump(_roundtree(obj), out, indent=2)
-    out.write("\n")
+    """obj, rounded (its lists in place: each document is built for this one
+    write), as indented JSON and a newline, 64 x 64 tokens a write: tokens are
+    joined 64 at a time, so a write holds its text, not 4,096 token objects."""
+    tokens = chain(json.JSONEncoder(indent=2).iterencode(_roundtree(obj)), ("\n",))
+    pieces = iter(lambda: "".join(islice(tokens, 64)), "")
+    while batch := "".join(islice(pieces, 64)):
+        out.write(batch)
 
 
 def _csv_field(text: str) -> str:
@@ -53,12 +59,10 @@ def _csv_field(text: str) -> str:
 
 def _emit_csv(rows, out: IO[str]) -> None:
     """NamedTuple rows (at least one) under a header of their field names."""
-    out.write(",".join(rows[0]._fields) + "\n")
+    lines = [",".join(rows[0]._fields)]
     for row in rows:
-        out.write(
-            ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
-            + "\n"
-        )
+        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
+    out.write("\n".join(lines) + "\n")
 
 
 def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
@@ -71,9 +75,8 @@ def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name} is not UTF-8 text (byte {exc.start})") from None
-    # a leading byte-order mark is not part of the first label; it is removed
-    # after decoding, so the byte offset above still counts it
-    return graph.load_edge_list(text.removeprefix("\ufeff"))
+    # the byte offset above counts a leading byte-order mark; the parse skips it
+    return graph.load_edge_list(text)
 
 
 def _parse_constants(pairs: Optional[Sequence[str]]) -> estimator.ScalingConstants:
@@ -147,26 +150,19 @@ def _cmd_search_info(args, stdin, stdout) -> None:
                 stdout.write("".join(cells))
             return
         # total_bits precedes the pairs in the document, so the pairs are
-        # held, but only once: each row is rounded as its sum is taken
-        pairs: list[list[float]] = []
-        per_source = []
-        for row in rows:
-            per_source.append(math.fsum(row))
-            pairs.append([_round6(b) for b in row])
-        report = searchinfo.SearchInfoReport.from_source_bits(g, per_source)
-    doc = _roundtree(
-        {
-            "n": report.node_count,
-            "l": report.link_count,
-            "total_bits": report.total_bits,
-            "average_bits": report.average_bits,
-            "per_source_bits": report.per_source_bits,
-        }
-    )
+        # held, but only once: _emit_json rounds them in place
+        pairs = list(rows)
+        report = searchinfo.SearchInfoReport.from_source_bits(g, map(math.fsum, pairs))
+    doc = {
+        "n": report.node_count,
+        "l": report.link_count,
+        "total_bits": report.total_bits,
+        "average_bits": report.average_bits,
+        "per_source_bits": report.per_source_bits,
+    }
     if args.pairs:
         doc["pairs"] = pairs
-    json.dump(doc, stdout, indent=2)
-    stdout.write("\n")
+    _emit_json(doc, stdout)
 
 
 def _cmd_contract(args, stdin, stdout) -> None:

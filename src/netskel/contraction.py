@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import NetskelError
 from .graph import Graph, Link, require_connected
@@ -93,17 +93,20 @@ def order_links_degree(g: Graph) -> list[Link]:
     return sorted(g.links, key=lambda l: deg[l[0]] + deg[l[1]])
 
 
-def tree_contract(g: Graph, order: list[Link] | None = None) -> SimplifiedNetwork:
+def tree_contract(g: Graph, order: Iterable[Link] | None = None) -> SimplifiedNetwork:
     """One pass over links in the given order, merging wherever no multilink
     would result. Rejected links stay rejected (merging can only add common
     neighbors), so a single pass is exhaustive. With no order, the pass takes
     order_links_degree(g), a permutation of the links by construction, so it
-    is not checked as a given order is.
+    is not checked as a given order is. A given iterator is listed first, as
+    the check would consume it; a given list is not copied.
 
     Merges are small-to-large: the root with more skeleton neighbors
     survives and only the other root's neighbors are relabelled, so a hub
     absorbs its leaves in O(1) each."""
     require_connected(g)
+    if order is not None and iter(order) is order:
+        order = list(order)
     if order is not None and sorted(order) != list(g.links):
         raise NetskelError("order must be a permutation of the graph's links")
     membership, group_count, links = _merge(g, order)

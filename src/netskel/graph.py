@@ -131,8 +131,9 @@ class Graph(NamedTuple):
 def load_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse an edge list: one "LABEL LABEL" pair per line, '#' comments.
 
-    Labels get dense indices in first-appearance order. Self-loops, duplicate
-    edges and a second label that starts with '#' are rejected.
+    Labels get dense indices in first-appearance order. A leading byte-order
+    mark is skipped. Self-loops, duplicate edges and a second label that
+    starts with '#' are rejected.
     """
     labels, links = _parse_edge_list(text)
     return Graph._trusted(len(labels), links, labels)
@@ -156,7 +157,7 @@ def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[L
     at once. One dict keeps the links in order and refuses a duplicate on the
     line that repeats it. It and the label index live only in this call, so
     they are freed before load_edge_list builds the Graph."""
-    lines = _lines(text) if isinstance(text, str) else text
+    lines = _lines(text.removeprefix("\ufeff")) if isinstance(text, str) else text
     index: dict[str, int] = {}  # label -> its index, in first-appearance order
     links: dict[Link, None] = {}  # the links in input order
     for lineno, raw in enumerate(lines, start=1):

@@ -144,8 +144,20 @@ def assert_cli_contract(argv, code, out, err, text=""):
 
 
 class Discard(io.TextIOBase):
+    """A stdout that keeps nothing and counts the calls to its write."""
+
+    writes = 0
+
     def write(self, s):
+        self.writes += 1
         return len(s)
+
+
+def stdout_writes(argv, text):
+    """Exit code and stdout write calls of the CLI in process on stdin text."""
+    stdout = Discard()
+    code = run(argv, stdin=io.StringIO(text), stdout=stdout, stderr=io.StringIO())
+    return code, stdout.writes
 
 
 def pairs_peak_bytes(extra_argv):
@@ -252,6 +264,13 @@ class TestSearchInfo:
         assert code == 0
         assert peak < 16 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
 
+    def test_pair_json_takes_few_writes(self):
+        # the N^2 pairs go out in batches of tokens, not one write per token
+        text = connected_gnm_text(60, 180, 3)
+        code, writes = stdout_writes(["search-info", "-", "--pairs"], text)
+        assert code == 0
+        assert writes <= 5
+
     def test_pair_csv_quotes_labels(self):
         # RFC 4180: a label holding a comma or a quote is one quoted field
         labels = ["a,b", 'say"hi"', "plain", ",", '"']
@@ -308,6 +327,12 @@ class TestPipelines:
         assert doc["h_simp"] == pytest.approx(
             doc["h_skeleton"] + sum(doc["h_supernodes"]), rel=1e-5
         )
+
+    def test_contract_json_takes_few_writes(self, large_sparse_text):
+        # on an unbuffered stdout every write is a system call
+        code, writes = stdout_writes(["contract", "-"], large_sparse_text)
+        assert code == 0
+        assert writes <= 20
 
     def test_contract_dot(self, karate_path):
         code, out, _ = invoke(["contract", karate_path, "--format", "dot"])

@@ -170,6 +170,11 @@ class TestTreeContract:
         with pytest.raises(NetskelError, match="permutation"):
             ns.tree_contract(g, list(g.links)[:-1])
 
+    def test_iterator_order_is_read_as_its_list(self, karate):
+        # the permutation check must not consume an iterator before the merge
+        order = ns.order_links_random(karate, 1)
+        assert ns.tree_contract(karate, iter(order)) == ns.tree_contract(karate, order)
+
     def test_matches_reference(self, karate):
         for g in contraction_corpus(karate):
             orders = [ns.order_links_random(g, t) for t in range(4)]

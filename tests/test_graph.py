@@ -120,6 +120,9 @@ class TestLoadEdgeList:
         g = ns.load_edge_list("# header\n\na b\n\n# tail\n")
         assert g.link_count == 1
 
+    def test_leading_byte_order_mark_is_skipped(self):
+        assert ns.load_edge_list("\ufeffa b\nb c\n").labels == ("a", "b", "c")
+
     def test_first_appearance_order(self):
         g = ns.load_edge_list("z y\ny x")
         assert g.labels == ("z", "y", "x")
