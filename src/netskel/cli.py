@@ -26,14 +26,13 @@ EXIT_USAGE_ERROR = 2
 
 
 def _roundtree(obj):
-    """obj with every float rounded to 6 significant digits. Lists are rounded
-    in place, so the N^2 pairs of search-info are never held twice."""
+    """obj with every float in it, in its dicts and in its lists rounded to 6
+    significant digits. Lists are rounded in place, so the N^2 pairs of
+    search-info are never held twice; tuples are written as they are."""
     if isinstance(obj, float):
         return float(f"{obj:.6g}")
     if isinstance(obj, dict):
         return {k: _roundtree(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return [_roundtree(v) for v in obj]
     if isinstance(obj, list):
         obj[:] = map(_roundtree, obj)
     return obj
@@ -99,14 +98,15 @@ def _simplification_dict(
     info: contraction.SimplifiedSearchInfo,
     trial_index: Optional[int],
 ) -> dict:
+    # _roundtree writes tuples as they are: links and labels are not copied
     return {
         "skeleton_nodes": simp.skeleton.node_count,
         "skeleton_edges": simp.skeleton.links,
         "supernode_members": [
-            [simp.original.labels[m] for m in members] for members in simp.supernodes
+            tuple(simp.original.labels[m] for m in members) for members in simp.supernodes
         ],
         "h_skeleton": info.h_skeleton,
-        "h_supernodes": info.h_supernodes,
+        "h_supernodes": list(info.h_supernodes),
         "h_simp": info.h_simp,
         "trial_index": trial_index,
     }
@@ -158,7 +158,7 @@ def _cmd_search_info(args, stdin, stdout) -> None:
         "l": report.link_count,
         "total_bits": report.total_bits,
         "average_bits": report.average_bits,
-        "per_source_bits": report.per_source_bits,
+        "per_source_bits": list(report.per_source_bits),
     }
     if args.pairs:
         doc["pairs"] = pairs

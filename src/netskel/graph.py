@@ -46,7 +46,7 @@ class Graph(NamedTuple):
         """Build a graph from outside input, refusing unknown nodes, self-loops,
         duplicate links in either orientation, a wrong label count and given
         labels that write_edge_list could not write back: empty, split by
-        whitespace, starting with '#' or repeated."""
+        whitespace, starting with '#' or U+FEFF, or repeated."""
         if node_count < 0:
             raise ValidationError("node_count must be non-negative")
         if labels is None:
@@ -63,8 +63,8 @@ class Graph(NamedTuple):
                     raise ValidationError(f"empty label on node {node}")
                 if label.split() != [label]:
                     raise ValidationError(f"label {label!r} contains whitespace")
-                if label.startswith("#"):
-                    raise ValidationError(f"label {label!r} starts with '#'")
+                if label.startswith(("#", "\ufeff")):
+                    raise ValidationError(f"label {label!r} starts with {label[0]!r}")
                 if label in named:
                     raise ValidationError(f"duplicate label {label!r}")
                 named.add(label)

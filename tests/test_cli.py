@@ -69,6 +69,14 @@ def reject_constant(name):
     raise ValueError(f"JSON holds {name}")
 
 
+def rounded_float(text):
+    """A JSON number with a fraction or exponent, which the CLI writes rounded
+    to 6 significant digits."""
+    x = float(text)
+    assert x == float(f"{x:.6g}"), f"JSON holds {text}, not rounded to 6 digits"
+    return x
+
+
 GRAPH_COMMANDS = ("info", "contract", "minimize", "estimate", "randomize", "search-info")
 
 
@@ -118,9 +126,10 @@ def generator_commands(draw, command) -> list[str]:
 
 def assert_cli_contract(argv, code, out, err, text=""):
     """One call keeps the CLI contract: exit 0 with output that parses (an
-    edge list from gen with the kind's node and link counts) and nothing on
-    stderr, or exit 1 with one error line and nothing on stdout. text is the
-    edge list the call read."""
+    edge list from gen with the kind's node and link counts, JSON with every
+    float rounded to 6 significant digits) and nothing on stderr, or exit 1
+    with one error line and nothing on stdout. text is the edge list the call
+    read."""
     if code != 0:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -140,7 +149,7 @@ def assert_cli_contract(argv, code, out, err, text=""):
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
     else:
-        json.loads(out, parse_constant=reject_constant)
+        json.loads(out, parse_float=rounded_float, parse_constant=reject_constant)
 
 
 class Discard(io.TextIOBase):

@@ -25,9 +25,9 @@ def labelled_links(g):
 def links_and_labels(n):
     """Links without self-loops or repeats on n nodes, and a label or None (a
     plain label) for each node; the labels may repeat, hold whitespace or
-    start with '#'."""
+    start with '#' or U+FEFF."""
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
-    label = st.none() | st.text(st.sampled_from("abcd\u00e9#\t \x1c"), min_size=1, max_size=3)
+    label = st.none() | st.text(st.sampled_from("abcd\u00e9#\t \x1c\ufeff"), min_size=1, max_size=3)
     return st.tuples(
         st.lists(pair, max_size=8, unique_by=frozenset),
         st.lists(label, min_size=n, max_size=n),
@@ -273,6 +273,7 @@ class TestFromLinks:
             (["a", "b\n", "c"], "label 'b\\n' contains whitespace"),
             (["x", "#b", "c"], "label '#b' starts with '#'"),
             (["a", "a", "c"], "duplicate label 'a'"),
+            (["\ufeffa", "b", "c"], "label '\\ufeffa' starts with '\\ufeff'"),
         ],
     )
     def test_labels_written_back_wrongly_rejected(self, labels, message):
