@@ -67,6 +67,8 @@ def _emit_csv(rows, out: IO[str]) -> None:
 def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
     try:
         if path == "-":
+            if stdin is None:  # the process started with its stdin closed
+                raise NetskelError("stdin is closed")
             text = stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
@@ -332,7 +334,10 @@ def run(
         stdin = sys.stdin
         if isinstance(stdin, io.TextIOWrapper):  # C locales decode with surrogateescape
             stdin.reconfigure(encoding="utf-8", errors="strict")
-    stdout = stdout if stdout is not None else sys.stdout
+    if stdout is None:
+        stdout = sys.stdout
+        if isinstance(stdout, io.TextIOWrapper):  # C locales encode as ASCII
+            stdout.reconfigure(encoding="utf-8")
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -346,6 +351,8 @@ def run(
     except SystemExit as exc:
         return EXIT_USAGE_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
+        if stdout is None:  # the process started with its stdout closed
+            raise NetskelError("stdout is closed")
         args.func(args, stdin, stdout)
     except (NetskelError, OSError) as exc:
         print(f"error: {exc}", file=stderr)

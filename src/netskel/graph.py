@@ -16,6 +16,9 @@ _LINE_CHUNK = 1 << 16
 # A line boundary of any kind str.splitlines knows, with '\r\n' as one.
 _LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
+# No label starts with these: written first, '#' starts a comment and U+FEFF reads as a mark.
+_LABEL_STARTS_REFUSED = ("#", "\ufeff")
+
 # The fewest finished nodes whose neighbour lists Graph._trusted turns into
 # tuples at once: a slice per node made the build 1.3-1.5 times as slow, and
 # batches of 1 to 256 nodes left the same peak memory.
@@ -46,7 +49,7 @@ class Graph(NamedTuple):
         """Build a graph from outside input, refusing unknown nodes, self-loops,
         duplicate links in either orientation, a wrong label count and given
         labels that write_edge_list could not write back: empty, split by
-        whitespace, starting with '#' or U+FEFF, or repeated."""
+        whitespace, starting with '#' or U+FEFF (as the parse refuses), or repeated."""
         if node_count < 0:
             raise ValidationError("node_count must be non-negative")
         if labels is None:
@@ -63,7 +66,7 @@ class Graph(NamedTuple):
                     raise ValidationError(f"empty label on node {node}")
                 if label.split() != [label]:
                     raise ValidationError(f"label {label!r} contains whitespace")
-                if label.startswith(("#", "\ufeff")):
+                if label.startswith(_LABEL_STARTS_REFUSED):
                     raise ValidationError(f"label {label!r} starts with {label[0]!r}")
                 if label in named:
                     raise ValidationError(f"duplicate label {label!r}")
@@ -128,12 +131,12 @@ class Graph(NamedTuple):
         return len(self.links)
 
 
-def load_edge_list(text: str | Iterable[str]) -> Graph:
-    """Parse an edge list: one "LABEL LABEL" pair per line, '#' comments.
+def load_edge_list(text: str) -> Graph:
+    """Parse an edge-list string: one "LABEL LABEL" pair per line, '#' comments.
 
     Labels get dense indices in first-appearance order. A leading byte-order
-    mark is skipped. Self-loops, duplicate edges and a second label that
-    starts with '#' are rejected.
+    mark is skipped. Self-loops, duplicate edges and a label that starts with
+    '#' or U+FEFF are rejected, by the rule Graph.from_links applies.
     """
     labels, links = _parse_edge_list(text)
     return Graph._trusted(len(labels), links, labels)
@@ -151,16 +154,18 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[Link]]:
-    """The labels and the (min, max) links of an edge list, in input order.
-    A str is read a piece at a time (_lines), so its lines are never all held
-    at once. One dict keeps the links in order and refuses a duplicate on the
-    line that repeats it. It and the label index live only in this call, so
-    they are freed before load_edge_list builds the Graph."""
-    lines = _lines(text.removeprefix("\ufeff")) if isinstance(text, str) else text
+def _parse_edge_list(text: str) -> tuple[tuple[str, ...], list[Link]]:
+    """The labels and the (min, max) links of an edge list, in input order,
+    each label checked by Graph.from_links' start rule. The text is read a
+    piece at a time (_lines), so its lines are never all held at once. One
+    dict keeps the links in order and refuses a duplicate on the line that
+    repeats it. It and the label index live only in this call, so they are
+    freed before load_edge_list builds the Graph."""
+    text = text.removeprefix("\ufeff")
+    mark_left = "\ufeff" in text  # else first tokens need no check: '#' starts a comment
     index: dict[str, int] = {}  # label -> its index, in first-appearance order
     links: dict[Link, None] = {}  # the links in input order
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -169,8 +174,9 @@ def _parse_edge_list(text: str | Iterable[str]) -> tuple[tuple[str, ...], list[L
             raise ParseError(
                 f"line {lineno}: expected 2 tokens, got {len(tokens)}: {line!r}"
             )
-        if tokens[1].startswith("#"):  # written first on a line, it would start a comment
-            raise ParseError(f"line {lineno}: label {tokens[1]!r} starts with '#'")
+        if tokens[1][0] in _LABEL_STARTS_REFUSED or mark_left and tokens[0][0] == "\ufeff":
+            label = next(t for t in tokens if t[0] in _LABEL_STARTS_REFUSED)
+            raise ParseError(f"line {lineno}: label {label!r} starts with {label[0]!r}")
         u = index.setdefault(tokens[0], len(index))
         v = index.setdefault(tokens[1], len(index))
         if u == v:

@@ -88,8 +88,9 @@ def connected_graphs(draw) -> ns.Graph:
     return ns.Graph.from_links(n, [(0, i) for i in range(1, n)])
 
 
-# labels with commas, quotes, non-ASCII letters and one that starts a comment
-LABELS = ["a", "b", "c", "d", "e", "f", "x,y", 'q"r', "it's", "é", "日本", "#h"]
+# labels with commas, quotes, non-ASCII letters, one that starts a comment and
+# one that starts with U+FEFF, which only the first character of a text may do
+LABELS = ["a", "b", "c", "d", "e", "f", "x,y", 'q"r', "it's", "é", "日本", "#h", "\ufeffz"]
 
 
 @st.composite

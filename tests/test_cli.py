@@ -30,15 +30,19 @@ def invoke(argv, stdin_text=""):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def invoke_process(argv, stdin_bytes=b"", first_on_path=None, **env):
+def invoke_process(argv, stdin_bytes=b"", first_on_path=None, redirect=None, **env):
     """Run the CLI in a fresh interpreter with the environment's stdin encoding
-    settings removed; first_on_path goes ahead of netskel on PYTHONPATH."""
+    settings removed; first_on_path goes ahead of netskel on PYTHONPATH, and
+    a shell redirect such as '<&-' (stdin closed) is applied when given."""
     path = [str(Path(ns.__file__).resolve().parent.parent)]
     if first_on_path is not None:
         path.insert(0, str(first_on_path))
     base = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    command = [sys.executable, "-m", "netskel.cli", *argv]
+    if redirect is not None:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
     return subprocess.run(
-        [sys.executable, "-m", "netskel.cli", *argv],
+        command,
         input=stdin_bytes,
         capture_output=True,
         env={**base, **env, "PYTHONPATH": os.pathsep.join(path)},
@@ -542,6 +546,39 @@ class TestDeterminismAndErrors:
         proc = invoke_process(["info", "-"], b"a b\n\xff\xfe c\n", LC_ALL="C")
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr == b"error: stdin is not UTF-8 text (byte 4)\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["randomize", "-"], ["search-info", "-", "--pairs", "--format=csv"]]
+    )
+    def test_labels_written_as_utf8_under_c_locale(self, argv):
+        # sys.stdout writes ASCII in a C locale unless run() asks for UTF-8
+        text = "é b\nb c\nc é\n"
+        proc = invoke_process(
+            argv, text.encode(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        out = proc.stdout.decode("utf-8")
+        if argv[0] == "randomize":  # a triangle has no swap to make
+            assert ns.load_edge_list(out) == ns.load_edge_list(text)
+        else:
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert {(s, d) for s, d, _ in rows} == {
+                (s, d) for s in ("é", "b", "c") for d in ("é", "b", "c") if s != d
+            }
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor with sh")
+    @pytest.mark.parametrize(
+        "argv, redirect, message",
+        [
+            (["info", "-"], "<&-", b"error: stdin is closed\n"),
+            (["info", str(Path(ns.__file__).parent / "data/karate.edges")], ">&-",
+             b"error: stdout is closed\n"),
+        ],
+    )
+    def test_closed_standard_stream_exit_1(self, argv, redirect, message):
+        # Python sets sys.stdin or sys.stdout to None for a closed descriptor
+        proc = invoke_process(argv, redirect=redirect)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", message)
 
     def test_byte_order_mark_on_stdin_is_not_a_label(self):
         # with the mark kept, "\ufeffa" and "a" were two labels and "b a" no duplicate
