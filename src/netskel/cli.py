@@ -8,9 +8,9 @@ byte-identical output (floats are printed with 6 significant digits).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
+import signal
 import sys
 from itertools import chain, islice
 from typing import IO, Optional, Sequence
@@ -64,10 +64,10 @@ def _emit_csv(rows, out: IO[str]) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def _read_graph(path: str, stdin: IO[str]) -> graph.Graph:
+def _read_graph(path: str, stdin: Optional[IO[str]]) -> graph.Graph:
     try:
         if path == "-":
-            if stdin is None:  # the process started with its stdin closed
+            if stdin is None:
                 raise NetskelError("stdin is closed")
             text = stdin.read()
         else:
@@ -325,22 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(
-    argv: Optional[Sequence[str]] = None,
-    stdin: Optional[IO[str]] = None,
-    stdout: Optional[IO[str]] = None,
-    stderr: Optional[IO[str]] = None,
+    argv: Sequence[str],
+    stdin: Optional[IO[str]],
+    stdout: Optional[IO[str]],
+    stderr: Optional[IO[str]],
 ) -> int:
-    if stdin is None:
-        stdin = sys.stdin
-        if isinstance(stdin, io.TextIOWrapper):  # C locales decode with surrogateescape
-            stdin.reconfigure(encoding="utf-8", errors="strict")
-    if stdout is None:
-        stdout = sys.stdout
-        if isinstance(stdout, io.TextIOWrapper):  # C locales encode as ASCII
-            stdout.reconfigure(encoding="utf-8")
-    stderr = stderr if stderr is not None else sys.stderr
+    """Run one command on the given streams (None: a closed stream) and return
+    its exit status; argparse's usage and help go to sys.stderr and sys.stdout."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     options = argv[: argv.index("--")] if "--" in argv else argv
     try:
         # argparse reads "--name=--" as a list of no values before Python 3.13
@@ -351,17 +343,25 @@ def run(
     except SystemExit as exc:
         return EXIT_USAGE_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if stdout is None:  # the process started with its stdout closed
+        if stdout is None:
             raise NetskelError("stdout is closed")
         args.func(args, stdin, stdout)
     except (NetskelError, OSError) as exc:
-        print(f"error: {exc}", file=stderr)
+        if stderr is not None:  # print(file=None) would write to sys.stdout
+            print(f"error: {exc}", file=stderr)
         return EXIT_DOMAIN_ERROR
     return EXIT_OK
 
 
 def main() -> None:
-    sys.exit(run())
+    """run on the process's own streams (None where a descriptor was closed)."""
+    if hasattr(signal, "SIGPIPE"):  # a reader that leaves ends netskel as it ends any filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if sys.stdin is not None:  # C locales decode with surrogateescape
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    if sys.stdout is not None:  # C locales encode as ASCII
+        sys.stdout.reconfigure(encoding="utf-8")
+    sys.exit(run(sys.argv[1:], sys.stdin, sys.stdout, sys.stderr))
 
 
 if __name__ == "__main__":

@@ -223,7 +223,7 @@ def _spread(count: int, work: int, item: Callable[[int], Any]) -> list[Any]:
     finally:
         _sharing = False
         for _, pipe in children.values():
-            pipe.close()  # a child still writing gets EPIPE and exits
+            pipe.close()  # a child still writing exits 1 on EPIPE or is killed by SIGPIPE
         sent = {first for first, (pid, _) in children.items() if os.waitpid(pid, 0)[1] == 0}
     for first in range(1, workers):
         share = range(first, count, workers)

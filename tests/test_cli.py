@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -542,7 +543,7 @@ class TestDeterminismAndErrors:
         assert stderr.getvalue() == "error: stdin is not UTF-8 text (byte 0)\n"
 
     def test_non_utf8_real_stdin_under_c_locale_exit_1(self):
-        # a C locale decodes sys.stdin with surrogateescape unless run() asks for strict
+        # a C locale decodes sys.stdin with surrogateescape unless main() asks for strict
         proc = invoke_process(["info", "-"], b"a b\n\xff\xfe c\n", LC_ALL="C")
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr == b"error: stdin is not UTF-8 text (byte 4)\n"
@@ -551,7 +552,7 @@ class TestDeterminismAndErrors:
         "argv", [["randomize", "-"], ["search-info", "-", "--pairs", "--format=csv"]]
     )
     def test_labels_written_as_utf8_under_c_locale(self, argv):
-        # sys.stdout writes ASCII in a C locale unless run() asks for UTF-8
+        # sys.stdout writes ASCII in a C locale unless main() asks for UTF-8
         text = "é b\nb c\nc é\n"
         proc = invoke_process(
             argv, text.encode(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"
@@ -573,12 +574,33 @@ class TestDeterminismAndErrors:
             (["info", "-"], "<&-", b"error: stdin is closed\n"),
             (["info", str(Path(ns.__file__).parent / "data/karate.edges")], ">&-",
              b"error: stdout is closed\n"),
+            (["info", "-"], "<&- 2>&-", b""),
         ],
     )
     def test_closed_standard_stream_exit_1(self, argv, redirect, message):
-        # Python sets sys.stdin or sys.stdout to None for a closed descriptor
+        # Python sets sys.stdin, sys.stdout or sys.stderr to None for a closed
+        # descriptor; with stderr closed the error goes nowhere, not to stdout
         proc = invoke_process(argv, redirect=redirect)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", message)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_reader_that_leaves_ends_the_command_as_sigpipe_does(self, tmp_path):
+        # the 300 x 299 pairs (831,249 bytes) overfill the pipe, so the command
+        # is still writing when the reader closes it
+        ring = tmp_path / "ring.edges"
+        ring.write_text(ns.write_edge_list(ns.gen_ring(300)), encoding="utf-8")
+        argv = ["search-info", str(ring), "--pairs", "--format=csv"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "netskel.cli", *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(ns.__file__).resolve().parent.parent)},
+        ) as proc:
+            assert proc.stdout.readline() == b"source_label,dest_label,bits\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == -signal.SIGPIPE
+            assert proc.stderr.read() == b""
 
     def test_byte_order_mark_on_stdin_is_not_a_label(self):
         # with the mark kept, "\ufeffa" and "a" were two labels and "b a" no duplicate

@@ -587,10 +587,10 @@ class TestForkedWorkers:
         )
         assert self.run_forking(script, str(edges)) == ["0", "1", "1", "2", "1", "1", "False"]
 
-    def test_parent_failure_reaps_a_child_blocked_on_its_pipe(self):
+    def reap_blocked_child(self, disposition=""):
         # the child's share of 10,000 values overfills its pipe, so it can
         # only leave once the failed parent closes the read end
-        script = (
+        script = disposition + (
             "parent = os.getpid()\n"
             "def source_bits(g, s):\n"
             "    if os.getpid() == parent:\n"
@@ -607,6 +607,15 @@ class TestForkedWorkers:
             "    print('reaped')\n"
         )
         assert self.run_forking(script) == ["parent-failed", "reaped"]
+
+    def test_parent_failure_reaps_a_child_blocked_on_its_pipe(self):
+        # the child leaves on EPIPE
+        self.reap_blocked_child()
+
+    def test_parent_failure_reaps_a_child_killed_by_sigpipe(self):
+        # the child is killed by SIGPIPE at its default disposition, as
+        # cli.main sets it
+        self.reap_blocked_child("import signal\nsignal.signal(signal.SIGPIPE, signal.SIG_DFL)\n")
 
 
 class TestTreeTotal:
