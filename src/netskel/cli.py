@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import signal
 import sys
 from itertools import chain, islice
@@ -27,8 +26,8 @@ EXIT_USAGE_ERROR = 2
 
 def _roundtree(obj):
     """obj with every float in it, in its dicts and in its lists rounded to 6
-    significant digits. Lists are rounded in place, so the N^2 pairs of
-    search-info are never held twice; tuples are written as they are."""
+    significant digits. Lists are rounded in place; tuples are written as
+    they are."""
     if isinstance(obj, float):
         return float(f"{obj:.6g}")
     if isinstance(obj, dict):
@@ -46,6 +45,15 @@ def _emit_json(obj, out: IO[str]) -> None:
     pieces = iter(lambda: "".join(islice(tokens, 64)), "")
     while batch := "".join(islice(pieces, 64)):
         out.write(batch)
+
+
+class _RoundedRows(tuple):
+    """(rows,) for rows that are not empty, which JSONEncoder(indent=2) writes as
+    the list of the rows, each rounded as it is produced: a tuple, so _roundtree
+    writes it as it is, and never empty, so the encoder iterates it."""
+
+    def __iter__(self):
+        return map(_roundtree, self[0])
 
 
 def _csv_field(text: str) -> str:
@@ -139,22 +147,15 @@ def _cmd_search_info(args, stdin, stdout) -> None:
     from . import searchinfo
 
     g = _read_graph(args.input, stdin)
-    if not args.pairs:
-        report = searchinfo.total_search_information(g)
-    else:
+    if args.format == "csv":  # one source row at a time: the N^2 pairs are never held
         graph.require_connected(g)
-        rows = searchinfo.search_information_rows(g)
-        if args.format == "csv":  # one source row at a time: the N^2 pairs are never held
-            labels = [_csv_field(label) for label in g.labels]
-            stdout.write("source_label,dest_label,bits\n")
-            for s, row in enumerate(rows):
-                cells = (f"{labels[s]},{labels[d]},{b:.6g}\n" for d, b in enumerate(row) if d != s)
-                stdout.write("".join(cells))
-            return
-        # total_bits precedes the pairs in the document, so the pairs are
-        # held, but only once: _emit_json rounds them in place
-        pairs = list(rows)
-        report = searchinfo.SearchInfoReport.from_source_bits(g, map(math.fsum, pairs))
+        labels = [_csv_field(label) for label in g.labels]
+        stdout.write("source_label,dest_label,bits\n")
+        for s, row in enumerate(searchinfo.search_information_rows(g)):
+            cells = (f"{labels[s]},{labels[d]},{b:.6g}\n" for d, b in enumerate(row) if d != s)
+            stdout.write("".join(cells))
+        return
+    report = searchinfo.total_search_information(g)
     doc = {
         "n": report.node_count,
         "l": report.link_count,
@@ -162,8 +163,8 @@ def _cmd_search_info(args, stdin, stdout) -> None:
         "average_bits": report.average_bits,
         "per_source_bits": list(report.per_source_bits),
     }
-    if args.pairs:
-        doc["pairs"] = pairs
+    if args.pairs:  # after a totals pass, one rounded row at a time
+        doc["pairs"] = _RoundedRows((searchinfo.search_information_rows(g),))
     _emit_json(doc, stdout)
 
 

@@ -14,7 +14,7 @@ import marshal
 import math
 import os
 import threading
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import NetskelError, UnreachableError
 from .graph import Graph, require_connected
@@ -47,14 +47,6 @@ class SearchInfoReport(NamedTuple):
     per_source_bits: tuple[float, ...]
     total_bits: float
     average_bits: float
-
-    @classmethod
-    def from_source_bits(cls, g: Graph, per_source_bits: Iterable[float]) -> SearchInfoReport:
-        """The report of g given each source's bits in index order."""
-        per_source = tuple(per_source_bits)
-        total = math.fsum(per_source)
-        n = g.node_count
-        return cls(n, g.link_count, per_source, total, total / (n * n))
 
 
 def _log_row(g: Graph, source: int) -> list[float]:
@@ -265,7 +257,10 @@ def pair_search_information(g: Graph, s: int, d: int) -> float:
 def total_search_information(g: Graph) -> SearchInfoReport:
     """Sum of H(s->d) over all ordered pairs of a connected graph."""
     require_connected(g)
-    return SearchInfoReport.from_source_bits(g, _all_source_bits(g))
+    per_source = tuple(_all_source_bits(g))
+    total = math.fsum(per_source)
+    n = g.node_count
+    return SearchInfoReport(n, g.link_count, per_source, total, total / (n * n))
 
 
 def _forest_total_bits(adjacency: Sequence[Sequence[int]]) -> list[float]:

@@ -245,8 +245,10 @@ class TestSearchInfo:
         assert json.loads(out)["per_source_bits"] == [0.0, 2.0, 0.0]
         assert "-0.0" not in out
 
-    def test_pair_csv_disconnected_is_domain_error(self):
-        code, out, err = invoke(["search-info", "-", "--pairs", "--format", "csv"], "a b\nc d\n")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pair_csv_disconnected_is_domain_error(self, fmt):
+        # refused before the first byte, so no document is started
+        code, out, err = invoke(["search-info", "-", "--pairs", "--format", fmt], "a b\nc d\n")
         assert code == 1
         assert out == ""
         assert "disconnected" in err
@@ -270,13 +272,12 @@ class TestSearchInfo:
         assert code == 0
         assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
 
-    def test_pair_json_holds_the_pairs_once(self):
-        # the JSON document needs every pair before it is written, but only
-        # the rounded copy: about 11.7 MiB here, 23.0 MiB when the raw rows
-        # were kept and rounded into a second copy
+    def test_pair_json_streams_in_bounded_memory(self):
+        # the totals come from a pass of their own, so the rows are written
+        # one at a time as in the CSV: about 0.4 MiB here
         code, peak = pairs_peak_bytes([])
         assert code == 0
-        assert peak < 16 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
+        assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MiB"
 
     def test_pair_json_takes_few_writes(self):
         # the N^2 pairs go out in batches of tokens, not one write per token
@@ -584,12 +585,18 @@ class TestDeterminismAndErrors:
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", message)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
-    def test_reader_that_leaves_ends_the_command_as_sigpipe_does(self, tmp_path):
-        # the 300 x 299 pairs (831,249 bytes) overfill the pipe, so the command
-        # is still writing when the reader closes it
+    @pytest.mark.parametrize(
+        "fmt, first_line",
+        [(["--format=csv"], b"source_label,dest_label,bits\n"), ([], b"{\n")],
+        ids=["csv", "json"],
+    )
+    def test_reader_that_leaves_ends_the_command_as_sigpipe_does(self, tmp_path, fmt, first_line):
+        # the 300 x 299 pairs (831,249 bytes of CSV, 997,024 of JSON)
+        # overfill the pipe, so the command is still writing when the reader
+        # closes it
         ring = tmp_path / "ring.edges"
         ring.write_text(ns.write_edge_list(ns.gen_ring(300)), encoding="utf-8")
-        argv = ["search-info", str(ring), "--pairs", "--format=csv"]
+        argv = ["search-info", str(ring), "--pairs", *fmt]
         with subprocess.Popen(
             [sys.executable, "-m", "netskel.cli", *argv],
             stdin=subprocess.DEVNULL,
@@ -597,7 +604,7 @@ class TestDeterminismAndErrors:
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(Path(ns.__file__).resolve().parent.parent)},
         ) as proc:
-            assert proc.stdout.readline() == b"source_label,dest_label,bits\n"
+            assert proc.stdout.readline() == first_line
             proc.stdout.close()
             assert proc.wait(timeout=60) == -signal.SIGPIPE
             assert proc.stderr.read() == b""
